@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -169,6 +168,24 @@ func Distribute(tg *tags.Tagging, m *topology.Machine, opt Options) (*Result, er
 	if opt.ConservativeDeps && opt.Deps == nil {
 		return nil, fmt.Errorf("core: ConservativeDeps requires a dependence graph")
 	}
+	d, units := newDistributor(tg, m, opt)
+	perCore := make([][]int, m.NumCores())
+	if err := d.descend(m.Root, units, perCore); err != nil {
+		return nil, err
+	}
+	return &Result{
+		Groups:    d.groups,
+		Origin:    d.origin,
+		PerCore:   perCore,
+		SplitPrec: d.splitPrec,
+		SelfDep:   opt.SelfDep,
+		Machine:   m,
+	}, nil
+}
+
+// newDistributor copies the input groups (load balancing may split them)
+// and builds the initial units the descent starts from.
+func newDistributor(tg *tags.Tagging, m *topology.Machine, opt Options) (*distributor, []*unit) {
 	d := &distributor{width: tg.NumBlocks, opt: opt}
 	// Work on copies: load balancing may split groups.
 	for i, g := range tg.Groups {
@@ -192,19 +209,7 @@ func Distribute(tg *tags.Tagging, m *topology.Machine, opt Options) (*Result, er
 		total += u.size
 	}
 	d.idealPerCore = float64(total) / float64(m.NumCores())
-
-	perCore := make([][]int, m.NumCores())
-	if err := d.descend(m.Root, units, perCore); err != nil {
-		return nil, err
-	}
-	return &Result{
-		Groups:    d.groups,
-		Origin:    d.origin,
-		PerCore:   perCore,
-		SplitPrec: d.splitPrec,
-		SelfDep:   opt.SelfDep,
-		Machine:   m,
-	}, nil
+	return d, units
 }
 
 // descend performs clustering and load balancing at node, then recurses
@@ -216,10 +221,29 @@ func (d *distributor) descend(node *topology.Node, units []*unit, perCore [][]in
 		}
 		return nil
 	}
+	clusters, err := d.level(node, units)
+	if err != nil {
+		return err
+	}
+	for i, child := range node.Children {
+		// Inside the child subtree each unit moves alone again
+		// ("NCS = NCS + {{θa} ∀θa ∈ c_ap}"), except atomic units which stay
+		// fused all the way down to a single core.
+		next := append([]*unit(nil), clusters[i].units...)
+		if err := d.descend(child, next, perCore); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// level clusters units into one cluster per child of node and balances the
+// clusters against the children's fair shares.
+func (d *distributor) level(node *topology.Node, units []*unit) ([]*cluster, error) {
 	k := node.Degree()
 	clusters, err := d.clusterLevel(units, k)
 	if err != nil {
-		return fmt.Errorf("core: at %s: %w", node.Label(), err)
+		return nil, fmt.Errorf("core: at %s: %w", node.Label(), err)
 	}
 	// Each child's target is its global fair share: ideal-per-core times
 	// the number of cores in its subtree.
@@ -231,16 +255,7 @@ func (d *distributor) descend(node *topology.Node, units []*unit, perCore [][]in
 	// tree is symmetric, which all paper machines are).
 	matchClustersToTargets(clusters, targets)
 	d.balance(clusters, targets)
-	for i, child := range node.Children {
-		// Inside the child subtree each unit moves alone again
-		// ("NCS = NCS + {{θa} ∀θa ∈ c_ap}"), except atomic units which stay
-		// fused all the way down to a single core.
-		next := append([]*unit(nil), clusters[i].units...)
-		if err := d.descend(child, next, perCore); err != nil {
-			return err
-		}
-	}
-	return nil
+	return clusters, nil
 }
 
 // matchClustersToTargets permutes clusters in place so cluster sizes align
@@ -387,31 +402,36 @@ func mergeToK(cs []*cluster, k, width int, noCap bool) []*cluster {
 	if k > 1 && !noCap {
 		sizeCap = total*5/(4*k) + 1 // 1.25 × ideal
 	}
-	alive := make(map[*cluster]bool, len(cs))
-	for _, c := range cs {
-		alive[c] = true
+	alive := make([]bool, len(cs))
+	for i := range alive {
+		alive[i] = true
 	}
-	h := &pairHeap{}
-	push := func(a, b *cluster) {
-		heap.Push(h, pairEntry{dot: a.tag.Dot(b.tag), a: a, b: b})
+	// Every fuse but the last re-pushes the survivor against the others,
+	// so the push count is known up front: the initial n(n-1)/2 pairs plus
+	// (live-1) after each fuse that leaves live > k. Only re-pushes of
+	// cap-deferred pairs can outgrow it.
+	n := len(cs)
+	h := &pairHeap{cs: cs, h: make([]mergePair, 0, n*(n-1)/2+(n-2)*(n-1)/2-(k-1)*k/2)}
+	push := func(a, b int) {
+		h.push(mergePair{dot: int32(cs[a].tag.Dot(cs[b].tag)), a: int32(a), b: int32(b)})
 	}
-	for i := 0; i < len(cs); i++ {
-		for j := i + 1; j < len(cs); j++ {
-			push(cs[i], cs[j])
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			push(i, j)
 		}
 	}
-	live := len(cs)
+	live := n
 	capped := true // whether the size cap is currently enforced
-	var deferred []pairEntry
+	var deferred []mergePair
 	for live > k {
-		var best pairEntry
+		var best mergePair
 		found := false
-		for h.Len() > 0 {
-			best = heap.Pop(h).(pairEntry)
+		for len(h.h) > 0 {
+			best = h.pop()
 			if !alive[best.a] || !alive[best.b] {
 				continue
 			}
-			if capped && best.a.size+best.b.size > sizeCap {
+			if capped && cs[best.a].size+cs[best.b].size > sizeCap {
 				deferred = append(deferred, best)
 				continue
 			}
@@ -424,7 +444,7 @@ func mergeToK(cs []*cluster, k, width int, noCap bool) []*cluster {
 				// deferred pairs (still max-dot first via the heap).
 				capped = false
 				for _, p := range deferred {
-					heap.Push(h, p)
+					h.push(p)
 				}
 				deferred = nil
 				continue
@@ -432,71 +452,119 @@ func mergeToK(cs []*cluster, k, width int, noCap bool) []*cluster {
 			break
 		}
 		// Fuse b into a; b dies.
-		for _, u := range best.b.units {
-			best.a.add(u)
+		a, b := cs[best.a], cs[best.b]
+		for _, u := range b.units {
+			a.add(u)
 		}
-		delete(alive, best.b)
+		alive[best.b] = false
 		live--
 		if live <= k {
 			break
 		}
-		// Refresh pairs involving the fused cluster, iterating the stable
-		// slice (not the map) so runs are deterministic.
-		for _, c := range cs {
-			if alive[c] && c != best.a {
-				push(best.a, c)
+		// Refresh pairs involving the fused cluster, in slice order so
+		// runs are deterministic.
+		for i := range cs {
+			if alive[i] && i != int(best.a) {
+				push(int(best.a), i)
 			}
 		}
 	}
 	var out []*cluster
-	for _, c := range cs {
-		if alive[c] {
+	for i, c := range cs {
+		if alive[i] {
 			out = append(out, c)
 		}
 	}
 	return out
 }
 
-// pairEntry is a candidate merge in the agglomerative clustering heap.
-type pairEntry struct {
-	dot  int
-	a, b *cluster
+// mergePair is a candidate merge of clusters cs[a] and cs[b] with their tag
+// dot product at push time. It holds no pointers, so the heap is one flat
+// allocation the garbage collector never scans.
+type mergePair struct {
+	dot  int32
+	a, b int32
 }
 
 // pairHeap is a max-heap of merge candidates by dot product; ties prefer
-// program-adjacent clusters (smallest representative-ID distance), then
-// smaller combined size — both deterministic.
-type pairHeap []pairEntry
+// smaller combined size, then program-adjacent clusters (smallest
+// representative-ID distance) — both deterministic. The tie keys are read
+// from the clusters at comparison time, so they can change while a pair
+// sits in the heap; up and down therefore copy container/heap's sift
+// order exactly, which keeps the pop sequence (and so every figure) the
+// one a container/heap-based merge produces.
+type pairHeap struct {
+	cs []*cluster
+	h  []mergePair
+}
 
-func (h pairHeap) Len() int { return len(h) }
-func (h pairHeap) Less(i, j int) bool {
-	if h[i].dot != h[j].dot {
-		return h[i].dot > h[j].dot
+func (h *pairHeap) less(i, j int) bool {
+	pi, pj := h.h[i], h.h[j]
+	if pi.dot != pj.dot {
+		return pi.dot > pj.dot
 	}
-	si := h[i].a.size + h[i].b.size
-	sj := h[j].a.size + h[j].b.size
+	ai, bi, aj, bj := h.cs[pi.a], h.cs[pi.b], h.cs[pj.a], h.cs[pj.b]
+	si := ai.size + bi.size
+	sj := aj.size + bj.size
 	if si != sj {
 		return si < sj
 	}
 	// Final tie: program adjacency (smallest representative-ID distance).
-	di := h[i].a.repr - h[i].b.repr
+	di := ai.repr - bi.repr
 	if di < 0 {
 		di = -di
 	}
-	dj := h[j].a.repr - h[j].b.repr
+	dj := aj.repr - bj.repr
 	if dj < 0 {
 		dj = -dj
 	}
 	return di < dj
 }
-func (h pairHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pairHeap) Push(x any)   { *h = append(*h, x.(pairEntry)) }
-func (h *pairHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *pairHeap) push(p mergePair) {
+	h.h = append(h.h, p)
+	h.up(len(h.h) - 1)
+}
+
+func (h *pairHeap) pop() mergePair {
+	n := len(h.h) - 1
+	h.h[0], h.h[n] = h.h[n], h.h[0]
+	h.down(0, n)
+	p := h.h[n]
+	h.h = h.h[:n]
+	return p
+}
+
+// up is container/heap's up.
+func (h *pairHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.h[i], h.h[j] = h.h[j], h.h[i]
+		j = i
+	}
+}
+
+// down is container/heap's down, without its unused return value.
+func (h *pairHeap) down(i0, n int) {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // = 2*i + 2  // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.h[i], h.h[j] = h.h[j], h.h[i]
+		i = j
+	}
 }
 
 // balance implements Fig 6's greedy load-balancing step, with limits

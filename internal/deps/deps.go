@@ -57,7 +57,9 @@ type elemState struct {
 // selfDep, because load balancing may later split them and their pieces
 // must then stay ordered.
 //
-// iters must be the same slice (and order) the tagging was computed from.
+// iters must be the same slice (and order) the tagging was computed from,
+// in lexicographic (program) order as Nest.Points returns it: groups are
+// mapped back onto iters by binary search.
 func Analyze(iters []poly.Point, tg *tags.Tagging) (dg *affinity.Digraph, selfDep []bool) {
 	groupOf := groupIndex(iters, tg)
 	dg = affinity.NewDigraph(len(tg.Groups))
@@ -194,15 +196,16 @@ func CollapseCycles(groups []*tags.Group, dg *affinity.Digraph, selfDep []bool) 
 }
 
 // groupIndex maps each iteration (by its index in iters) to its group id.
+// iters must be in lexicographic order; group members missing from iters
+// are ignored.
 func groupIndex(iters []poly.Point, tg *tags.Tagging) []int {
-	pos := make(map[string]int, len(iters))
-	for i, p := range iters {
-		pos[p.String()] = i
-	}
 	out := make([]int, len(iters))
 	for gi, g := range tg.Groups {
 		for _, p := range g.Iters {
-			out[pos[p.String()]] = gi
+			i := sort.Search(len(iters), func(i int) bool { return !iters[i].Less(p) })
+			if i < len(iters) && iters[i].Equal(p) {
+				out[i] = gi
+			}
 		}
 	}
 	return out

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/poly"
 	"repro/internal/tags"
+	"repro/internal/workloads"
 )
 
 // wavefrontSetup builds a 1-D loop A[j] = f(A[j-dist]) with block-sized
@@ -219,5 +220,46 @@ func TestCollapseCyclesMerges(t *testing.T) {
 	}
 	if !anySelf {
 		t.Fatal("merged cycle not flagged selfDep")
+	}
+}
+
+// TestGroupIndexMatchesStringKeyed checks the binary-search group index
+// against a map keyed by each point's string form, on a 1-D wavefront and
+// on multi-dimensional Table 2 kernels before and after coarsening (which
+// interleaves the members of merged groups).
+func TestGroupIndexMatchesStringKeyed(t *testing.T) {
+	type indexCase struct {
+		iters []poly.Point
+		tg    *tags.Tagging
+	}
+	iters, _, _, wave := wavefrontSetup(1024, 256, 32)
+	cases := map[string]indexCase{"wavefront": {iters, wave}}
+	for _, name := range []string{"applu", "sp", "h264"} {
+		k, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iters := k.Nest.Points()
+		tg := tags.Compute(iters, k.Refs, k.Layout(2048))
+		cases[name] = indexCase{iters, tg}
+		cases[name+"/coarse"] = indexCase{iters, tags.Coarsen(tg, 16)}
+	}
+	for name, c := range cases {
+		pos := make(map[string]int, len(c.iters))
+		for i, p := range c.iters {
+			pos[p.String()] = i
+		}
+		want := make([]int, len(c.iters))
+		for gi, g := range c.tg.Groups {
+			for _, p := range g.Iters {
+				want[pos[p.String()]] = gi
+			}
+		}
+		got := groupIndex(c.iters, c.tg)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: iteration %v in group %d, want %d", name, c.iters[i], got[i], want[i])
+			}
+		}
 	}
 }

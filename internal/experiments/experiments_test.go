@@ -189,3 +189,43 @@ func TestAlphaBetaRenders(t *testing.T) {
 		t.Errorf("alphabeta missing default point:\n%s", out)
 	}
 }
+
+// TestFig17WeakHonorsKernels checks that the weak-scaling figure runs only
+// the selected kernels with scaled variants and rejects a selection that
+// has none.
+func TestFig17WeakHonorsKernels(t *testing.T) {
+	pick := func(names ...string) Options {
+		var ks []*workloads.Kernel
+		for _, name := range names {
+			k, err := workloads.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ks = append(ks, k)
+		}
+		return Options{Kernels: ks, Quick: true}
+	}
+	r := NewRunner()
+	if _, err := Fig17Weak(r, pick("cg", "fig5")); err == nil || !strings.Contains(err.Error(), "galgel, bodytrack, namd") {
+		t.Fatalf("selection without scaled variants: err = %v", err)
+	}
+	if n := r.Evaluations(); n != 0 {
+		t.Fatalf("rejected selection evaluated %d cells", n)
+	}
+	out, err := Fig17Weak(r, pick("cg", "galgel"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "24 cores (2x data)") {
+		t.Errorf("missing the 24-core row:\n%s", out)
+	}
+	stats := r.Metrics().Stats()
+	if len(stats) != 4 { // Base and TopologyAware at 12 and 24 cores
+		t.Fatalf("evaluated %d cells, want 4", len(stats))
+	}
+	for _, s := range stats {
+		if !strings.Contains(s.Key, "galgel-x") {
+			t.Errorf("cell %s is not a scaled galgel", s.Key)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro"
@@ -95,9 +96,15 @@ func Fig17(r *Runner, opt Options) (string, error) {
 
 // Fig17Weak is the weak-scaling companion to Fig 17: the dataset grows
 // with the machine (bigger machines run bigger problems), holding
-// per-socket pressure constant. Uses the three kernels with scaled
-// variants.
+// per-socket pressure constant. Uses the selected kernels that have scaled
+// variants (galgel, bodytrack and namd by default) and fails when none
+// does.
 func Fig17Weak(r *Runner, opt Options) (string, error) {
+	names := scaledNames(opt.kernels())
+	if len(names) == 0 {
+		return "", fmt.Errorf("fig17weak: no selected kernel has a scaled variant (available: %s)",
+			strings.Join(scaledNames(workloads.All()), ", "))
+	}
 	counts := []int{12, 24}
 	if !opt.Quick {
 		counts = []int{8, 12, 18, 24}
@@ -110,7 +117,7 @@ func Fig17Weak(r *Runner, opt Options) (string, error) {
 			return "", err
 		}
 		factor := (n + 11) / 12
-		for _, name := range []string{"galgel", "bodytrack", "namd"} {
+		for _, name := range names {
 			k, err := workloads.Scaled(name, factor)
 			if err != nil {
 				return "", err
@@ -128,7 +135,7 @@ func Fig17Weak(r *Runner, opt Options) (string, error) {
 		}
 		factor := (n + 11) / 12 // 1x at <=12 cores, 2x at 24
 		var ta []float64
-		for _, name := range []string{"galgel", "bodytrack", "namd"} {
+		for _, name := range names {
 			k, err := workloads.Scaled(name, factor)
 			if err != nil {
 				return "", err
@@ -142,6 +149,18 @@ func Fig17Weak(r *Runner, opt Options) (string, error) {
 		t.AddRatios(fmt.Sprintf("%d cores (%dx data)", n, factor), metrics.Mean(ta))
 	}
 	return t.String(), nil
+}
+
+// scaledNames lists, in order, the names of the kernels that have a
+// workloads.Scaled variant.
+func scaledNames(ks []*workloads.Kernel) []string {
+	var names []string
+	for _, k := range ks {
+		if _, err := workloads.Scaled(k.Name, 1); err == nil {
+			names = append(names, k.Name)
+		}
+	}
+	return names
 }
 
 // Fig18 reproduces the hierarchy-depth study: the default Dunnington

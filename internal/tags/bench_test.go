@@ -18,6 +18,7 @@ func benchTagging(b *testing.B, blockBytes int64) {
 	}
 	layout := poly.NewLayout(blockBytes, a, w)
 	pts := nest.Points()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tg := Compute(pts, refs, layout)

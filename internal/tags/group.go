@@ -2,6 +2,7 @@ package tags
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/poly"
@@ -41,9 +42,8 @@ type Tagging struct {
 func (tg *Tagging) GroupOf(p poly.Point) *Group {
 	// Tag the point and look it up; cheaper than searching every group.
 	t := TagOf(p, tg.Refs, tg.Layout, tg.NumBlocks)
-	key := t.Key()
 	for _, g := range tg.Groups {
-		if g.Tag.Key() == key {
+		if g.Tag.Equal(t) {
 			return g
 		}
 	}
@@ -68,19 +68,47 @@ func TagOf(p poly.Point, refs []*poly.Ref, layout *poly.Layout, numBlocks int) T
 // iterations with identical tags into groups, in first-appearance order.
 // This is the "Initialization" step of the Fig 6 algorithm.
 func Compute(iters []poly.Point, refs []*poly.Ref, layout *poly.Layout) *Tagging {
+	return compute(iters, refs, layout, hashWords)
+}
+
+// compute is Compute with the tag hash as a parameter, so tests can force
+// collisions between distinct tags.
+func compute(iters []poly.Point, refs []*poly.Ref, layout *poly.Layout, hash func(t Tag, touched []int) uint64) *Tagging {
 	numBlocks := layout.NumBlocks()
-	byKey := make(map[string]*Group)
+	// Each iteration is tagged into one scratch tag. It touches at most one
+	// word per reference, so only those words are hashed and then cleared;
+	// the tag is cloned only when it starts a new group.
+	scratch := NewTag(numBlocks)
+	touched := make([]int, 0, len(refs))
+	// chain maps a hash to 1 + the newest group with that hash; next[g] is
+	// 1 + the previous group with the same hash, 0 ending the chain.
+	chain := make(map[uint64]int)
+	var next []int
 	var groups []*Group
 	for _, p := range iters {
-		t := TagOf(p, refs, layout, numBlocks)
-		k := t.Key()
-		g, ok := byKey[k]
-		if !ok {
-			g = &Group{ID: len(groups), Tag: t}
-			byKey[k] = g
-			groups = append(groups, g)
+		for _, r := range refs {
+			j := layout.BlockOf(r, p)
+			scratch.Set(j)
+			if w := j / 64; !slices.Contains(touched, w) {
+				touched = append(touched, w)
+			}
 		}
-		g.Iters = append(g.Iters, p)
+		h := hash(scratch, touched)
+		gi := chain[h] - 1
+		for gi >= 0 && !groups[gi].Tag.Equal(scratch) {
+			gi = next[gi] - 1
+		}
+		if gi < 0 {
+			gi = len(groups)
+			next = append(next, chain[h])
+			chain[h] = gi + 1
+			groups = append(groups, &Group{ID: gi, Tag: scratch.Clone()})
+		}
+		groups[gi].Iters = append(groups[gi].Iters, p)
+		for _, w := range touched {
+			scratch.words[w] = 0
+		}
+		touched = touched[:0]
 	}
 	return &Tagging{
 		Groups:     groups,
@@ -89,6 +117,27 @@ func Compute(iters []poly.Point, refs []*poly.Ref, layout *poly.Layout) *Tagging
 		NumBlocks:  numBlocks,
 		TotalIters: len(iters),
 	}
+}
+
+// hashWords hashes the words of t listed in touched, which must hold every
+// nonzero word of t exactly once. Each word is mixed with its index and the
+// mixes are summed, so the hash does not depend on the order of touched.
+func hashWords(t Tag, touched []int) uint64 {
+	var h uint64
+	for _, w := range touched {
+		h += mix64(t.words[w] ^ uint64(w)*0x9e3779b97f4a7c15)
+	}
+	return h
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // ComputeNest is Compute over a loop nest's full iteration space.

@@ -152,16 +152,6 @@ func (t Tag) IsZero() bool {
 	return true
 }
 
-// Key returns a compact string usable as a map key.
-func (t Tag) Key() string {
-	var b strings.Builder
-	b.Grow(len(t.words) * 16)
-	for _, w := range t.words {
-		fmt.Fprintf(&b, "%016x", w)
-	}
-	return b.String()
-}
-
 // Blocks lists the indices of the set bits in increasing order.
 func (t Tag) Blocks() []int {
 	var out []int

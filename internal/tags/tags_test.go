@@ -1,10 +1,12 @@
 package tags
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/poly"
+	"repro/internal/workloads"
 )
 
 func TestTagBasics(t *testing.T) {
@@ -87,13 +89,13 @@ func TestTagOrHamming(t *testing.T) {
 	}
 }
 
-func TestTagKeyEqual(t *testing.T) {
+func TestTagEqual(t *testing.T) {
 	a, b := FromBits("1010"), FromBits("1010")
-	if a.Key() != b.Key() || !a.Equal(b) {
-		t.Fatal("equal tags should share keys")
+	if !a.Equal(b) || !b.Equal(a) {
+		t.Fatal("equal tags should compare equal")
 	}
 	c := FromBits("1011")
-	if a.Key() == c.Key() || a.Equal(c) {
+	if a.Equal(c) || c.Equal(a) {
 		t.Fatal("different tags should differ")
 	}
 	if a.Equal(NewTag(5)) {
@@ -321,5 +323,132 @@ func TestSelectBlockSize(t *testing.T) {
 	got = SelectBlockSize(1024, 64, 256, 8192)
 	if got != 256 {
 		t.Fatalf("SelectBlockSize floor = %d", got)
+	}
+}
+
+// naiveGroups is the reference grouping: one fresh tag per iteration, keyed
+// by its string form, groups in first-appearance order.
+func naiveGroups(iters []poly.Point, refs []*poly.Ref, layout *poly.Layout) []*Group {
+	byKey := make(map[string]*Group)
+	var groups []*Group
+	for _, p := range iters {
+		tag := TagOf(p, refs, layout, layout.NumBlocks())
+		g, ok := byKey[tag.String()]
+		if !ok {
+			g = &Group{ID: len(groups), Tag: tag}
+			byKey[tag.String()] = g
+			groups = append(groups, g)
+		}
+		g.Iters = append(g.Iters, p)
+	}
+	return groups
+}
+
+// sameGroups reports the first difference between two groupings.
+func sameGroups(want, got []*Group) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d groups, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.ID != w.ID || !g.Tag.Equal(w.Tag) || g.Size() != w.Size() {
+			return fmt.Errorf("group %d = %d %s{%d}, want %d %s{%d}", i, g.ID, g.Tag, g.Size(), w.ID, w.Tag, w.Size())
+		}
+		for j, p := range w.Iters {
+			if !g.Iters[j].Equal(p) {
+				return fmt.Errorf("group %d iteration %d = %v, want %v", i, j, g.Iters[j], p)
+			}
+		}
+	}
+	return nil
+}
+
+// groupingCase is one iteration list to group.
+type groupingCase struct {
+	name   string
+	iters  []poly.Point
+	refs   []*poly.Ref
+	layout *poly.Layout
+}
+
+// groupingCases are taggings with one-word and multi-word tags: the paper's
+// Fig 5 example and small Table 2 kernels at two block sizes.
+func groupingCases(t *testing.T) []groupingCase {
+	t.Helper()
+	fig5 := fig5Tagging(16)
+	cases := []groupingCase{{"fig5", poly.NewNest(poly.RectLoop("j", 32, 12*16-32-1)).Points(), fig5.Refs, fig5.Layout}}
+	for _, name := range []string{"galgel", "cg", "mesa"} {
+		k, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bb := range []int64{256, 2048} {
+			cases = append(cases, groupingCase{fmt.Sprintf("%s/%dB", name, bb), k.Nest.Points(), k.Refs, k.Layout(bb)})
+		}
+	}
+	return cases
+}
+
+// TestComputeMatchesStringKeyed checks the hashed, scratch-tag grouping
+// against the naive string-keyed one.
+func TestComputeMatchesStringKeyed(t *testing.T) {
+	for _, c := range groupingCases(t) {
+		want := naiveGroups(c.iters, c.refs, c.layout)
+		tg := Compute(c.iters, c.refs, c.layout)
+		if err := sameGroups(want, tg.Groups); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		if tg.TotalIters != len(c.iters) || tg.NumBlocks != c.layout.NumBlocks() {
+			t.Errorf("%s: TotalIters %d NumBlocks %d", c.name, tg.TotalIters, tg.NumBlocks)
+		}
+	}
+}
+
+// TestComputeHashCollisions folds the hash into eight values, so distinct
+// tags share chains and only Equal tells them apart: they must still form
+// separate groups, exactly as the string-keyed grouping does.
+func TestComputeHashCollisions(t *testing.T) {
+	coarse := func(tag Tag, touched []int) uint64 { return hashWords(tag, touched) % 8 }
+	for _, c := range groupingCases(t) {
+		want := naiveGroups(c.iters, c.refs, c.layout)
+		hashes := make(map[uint64]bool)
+		for _, g := range want {
+			hashes[coarse(g.Tag, wordsOf(g.Tag))] = true
+		}
+		if len(hashes) == len(want) {
+			t.Fatalf("%s: no two of the %d tags collide", c.name, len(want))
+		}
+		tg := compute(c.iters, c.refs, c.layout, coarse)
+		if err := sameGroups(want, tg.Groups); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
+// wordsOf lists the nonzero words of a tag.
+func wordsOf(tag Tag) []int {
+	var ws []int
+	for i, w := range tag.words {
+		if w != 0 {
+			ws = append(ws, i)
+		}
+	}
+	return ws
+}
+
+// TestHashWordsOrderFree checks the hash depends on the tag only, not on
+// the order its words were touched in.
+func TestHashWordsOrderFree(t *testing.T) {
+	tag := NewTag(200)
+	for _, b := range []int{3, 70, 140, 199} {
+		tag.Set(b)
+	}
+	if hashWords(tag, []int{0, 1, 2, 3}) != hashWords(tag, []int{3, 1, 0, 2}) {
+		t.Fatal("hash depends on touch order")
+	}
+	other := NewTag(200)
+	other.Set(3)
+	if hashWords(tag, []int{0, 1, 2, 3}) == hashWords(other, []int{0}) {
+		t.Fatal("different tags hash alike")
 	}
 }

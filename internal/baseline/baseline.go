@@ -47,8 +47,9 @@ func Chunks(iters []poly.Point, n int) [][]poly.Point {
 // dependence study kernels).
 func BasePlus(k *workloads.Kernel, m *topology.Machine, blockBytes int64) ([][]poly.Point, error) {
 	layout := k.Layout(blockBytes)
-	chunks := Base(k, m.NumCores())
-	if deps.HasLoopCarried(k.Nest.Points(), k.Refs, layout) {
+	iters := k.Nest.Points()
+	chunks := Chunks(iters, m.NumCores())
+	if deps.HasLoopCarried(iters, k.Refs, layout) {
 		return chunks, nil
 	}
 	l1, err := privateL1(m)
@@ -112,25 +113,29 @@ func Candidates(chunk []poly.Point) []candidate {
 	if dims < 2 {
 		return cands
 	}
-	cands = append(cands, candidate{name: "permute", order: reorder(chunk, func(p poly.Point) []int64 {
-		return []int64{p[1], p[0]}
+	cands = append(cands, candidate{name: "permute", order: reorder(chunk, func(p poly.Point) sortKey {
+		return sortKey{p[1], p[0]}
 	})})
 	for _, t := range []int64{16, 32, 64, 128} {
-		t := t
 		cands = append(cands,
-			candidate{name: fmt.Sprintf("tile%d", t), order: reorder(chunk, func(p poly.Point) []int64 {
-				return []int64{p[0] / t, p[1] / t, p[0], p[1]}
+			candidate{name: fmt.Sprintf("tile%d", t), order: reorder(chunk, func(p poly.Point) sortKey {
+				return sortKey{p[0] / t, p[1] / t, p[0], p[1]}
 			})},
-			candidate{name: fmt.Sprintf("tile%d-perm", t), order: reorder(chunk, func(p poly.Point) []int64 {
-				return []int64{p[1] / t, p[0] / t, p[1], p[0]}
+			candidate{name: fmt.Sprintf("tile%d-perm", t), order: reorder(chunk, func(p poly.Point) sortKey {
+				return sortKey{p[1] / t, p[0] / t, p[1], p[0]}
 			})},
 		)
 	}
 	return cands
 }
 
+// sortKey is a candidate order's lexicographic key. Shorter keys are
+// zero-padded, which leaves their comparisons unchanged. A fixed-size
+// array keeps the sort's comparisons free of allocation.
+type sortKey [4]int64
+
 // reorder stably sorts a copy of the points by the given key.
-func reorder(chunk []poly.Point, key func(poly.Point) []int64) []poly.Point {
+func reorder(chunk []poly.Point, key func(poly.Point) sortKey) []poly.Point {
 	out := append([]poly.Point(nil), chunk...)
 	sort.SliceStable(out, func(i, j int) bool {
 		ki, kj := key(out[i]), key(out[j])

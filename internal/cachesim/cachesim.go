@@ -105,9 +105,12 @@ type cache struct {
 	// Recency is the explicit rank list, not LRU stamps: a stamp scan needs
 	// 8 bytes per way on the miss path, the rank list needs log2(assoc)
 	// bits and rides in the block the probe already loaded.
-	meta       []uint16
+	//
+	// Both arrays are pooled across simulations (pool.go), so no alias of
+	// them may outlive the run.
+	meta       []uint16 //topovet:scratch
 	metaStride int
-	tags       []int64
+	tags       []int64 //topovet:scratch
 
 	hits, misses uint64
 	// writebacks counts dirty lines evicted from this cache.
@@ -160,28 +163,54 @@ func newCache(n *topology.Node) *cache {
 		stride = (stride + 31) &^ 31
 	}
 	c.metaStride = stride
-	c.meta = make([]uint16, sets*stride)
-	c.tags = make([]int64, sets*n.Assoc)
-	for i := range c.tags {
-		c.tags[i] = -1
-	}
+	// The arrays may come from the pools (pool.go) holding another run's
+	// state, so every element is reset. Every set starts out the same, so
+	// set 0 is written and then replicated: no line resident, partial tags
+	// and padding zero.
+	c.meta = takeArray[uint16](&metaPools, sets*stride)
+	c.tags = takeArray[int64](&tagPools, sets*n.Assoc)
+	c.tags[0] = -1
+	replicate(c.tags, 1)
+	block := c.meta[:stride]
+	clear(block)
 	// Initial recency lists put way 0 at the LRU tail so cold fills claim
 	// ways in ascending index order, matching the reference engines'
 	// first-empty-way rule. Untouched (empty) ways keep that relative
 	// order at the tail, so the rule holds for partially filled sets too.
-	for s := 0; s < sets; s++ {
-		lru := c.meta[s*stride+n.Assoc:]
-		for i := 0; i < n.Assoc; i++ {
-			lru[i] = uint16(n.Assoc - 1 - i)
-		}
+	for i := 0; i < n.Assoc; i++ {
+		block[n.Assoc+i] = uint16(n.Assoc - 1 - i)
 	}
+	replicate(c.meta, stride)
 	return c
 }
 
-// lruOf returns a set's recency list (most recent first).
-func (c *cache) lruOf(set int) []uint16 {
+// replicate fills a with copies of its first n elements, doubling the
+// copied prefix at each step.
+func replicate[T int64 | uint16](a []T, n int) {
+	for n < len(a) {
+		n += copy(a[n:], a[:n])
+	}
+}
+
+// release hands the cache's arrays back to the pools. The cache must not be
+// used afterwards.
+func (c *cache) release() {
+	putArray(&tagPools, c.tags)
+	putArray(&metaPools, c.meta)
+	c.tags, c.meta = nil, nil
+}
+
+// verify checks the set holding addr's line right after an access or fill
+// touched it (check.VerifySet), naming the cache in a violation.
+func (c *cache) verify(addr int64) *check.InvariantError {
+	tag := addr >> c.lineBits
+	set := c.setOf(tag)
 	off := set*c.metaStride + c.assoc
-	return c.meta[off : off+c.assoc]
+	v := check.VerifySet(c.tags, c.meta[off:off+c.assoc], set*c.assoc, c.assoc, tag)
+	if v != nil {
+		v.Detail = c.node.Label() + ": " + v.Detail
+	}
+	return v
 }
 
 // touch promotes way w to most recent in a set's recency list. The list is
@@ -619,7 +648,9 @@ func New(m *topology.Machine) *Simulator {
 
 // Run simulates the program and returns aggregated statistics. The
 // simulator's caches start cold on the first Run and stay warm across
-// consecutive Runs (call New for a cold restart).
+// consecutive Runs (call New for a cold restart). A simulator from New
+// keeps its arrays for its lifetime; only SimulateContext and SimulateOnce
+// hand them back to the pools.
 //
 // The input is a trace.Source: the discrete-event loop pulls each core's
 // next access from a per-core cursor, so a streamed program is simulated in
@@ -635,9 +666,11 @@ func (s *Simulator) Run(prog trace.Source) (*Result, error) {
 // within a fraction of one simulation round per worker. On cancellation or
 // budget exhaustion it returns a nil Result and the error: a run either
 // completes and reports full statistics or reports nothing, never a partial
-// count dressed up as a result. After an aborted run the simulator's caches
-// hold partial state; discard it (or call New) before reusing warm-cache
-// semantics.
+// count dressed up as a result. An aborted run leaves the accesses it
+// simulated in this simulator's caches, and a later Run on the same
+// instance starts warm from them. Cold runs are unaffected: every
+// simulator starts from fully reset caches, including one whose arrays
+// were reused from an aborted run (SimulateContext).
 func (s *Simulator) RunContext(ctx context.Context, prog trace.Source, lim Limits) (*Result, error) {
 	ncores := prog.CoreCount()
 	if ncores > s.machine.NumCores() {
@@ -1012,11 +1045,7 @@ func (s *Simulator) accessFrom(c int, addr int64, write bool, now uint64, res *R
 		// (the hit) or filled; the line must now be resident exactly once and
 		// most recently used in each.
 		for i := 0; i <= hitAt && i < len(path); i++ {
-			ch := path[i]
-			tag := addr >> ch.lineBits
-			set := ch.setOf(tag)
-			if v := check.VerifySet(ch.tags, ch.lruOf(set), set*ch.assoc, ch.assoc, tag); v != nil {
-				v.Detail = ch.node.Label() + ": " + v.Detail
+			if v := path[i].verify(addr); v != nil {
 				return cost, memAccess, v
 			}
 		}
@@ -1032,14 +1061,30 @@ func (s *Simulator) releaseCursors() {
 	}
 }
 
+// release hands every cache's arrays back to the pools (pool.go). The
+// simulator must not run again.
+func (s *Simulator) release() {
+	for _, c := range s.cacheList {
+		c.release()
+	}
+}
+
 // SimulateOnce is the one-shot convenience: cold caches, single program.
+// Like SimulateContext it returns the caches' arrays to the pools when the
+// run ends.
 func SimulateOnce(m *topology.Machine, prog trace.Source) (*Result, error) {
-	return New(m).Run(prog)
+	s := New(m)
+	defer s.release()
+	return s.Run(prog)
 }
 
 // SimulateContext is SimulateOnce with cancellation and limits: cold
 // caches, single program, abort on context cancellation or budget
-// exhaustion (see RunContext).
+// exhaustion (see RunContext). The caches' arrays go back to the pools on
+// every path out, an error or a panic included, for the next cold run to
+// reuse; the Result holds no reference to them.
 func SimulateContext(ctx context.Context, m *topology.Machine, prog trace.Source, lim Limits) (*Result, error) {
-	return New(m).RunContext(ctx, prog, lim)
+	s := New(m)
+	defer s.release()
+	return s.RunContext(ctx, prog, lim)
 }

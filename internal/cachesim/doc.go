@@ -38,6 +38,18 @@
 // bit-identical results; trace.Materialize converts between the two for
 // debugging.
 //
+// # Reused cache arrays
+//
+// A cache's tag and recency arrays depend only on its geometry, so cold
+// runs share them instead of allocating a machine's worth per run:
+// SimulateContext and SimulateOnce hand them to package-level sync.Pools
+// when the run ends, on every path out, and the next simulator built for a
+// cache of the same size class takes them from there. Taking an array
+// resets every element, so a cold run on reused arrays is field-identical
+// to one on fresh memory, even when the previous run was aborted. A
+// Simulator built by New keeps its arrays for its lifetime, which is what
+// gives Run its warm-cache semantics.
+//
 // # Self-checking
 //
 // Limits.Check >= check.Invariants arms runtime invariants inside the

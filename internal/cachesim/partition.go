@@ -507,11 +507,7 @@ func (s *Simulator) privUnit(ctx context.Context, ps *partState, plan *partPlan,
 				top = len(priv) - 1
 			}
 			for j := 0; j <= top; j++ {
-				ch := priv[j]
-				tag := addr >> ch.lineBits
-				set := ch.setOf(tag)
-				if v := check.VerifySet(ch.tags, ch.lruOf(set), set*ch.assoc, ch.assoc, tag); v != nil {
-					v.Detail = ch.node.Label() + ": " + v.Detail
+				if v := priv[j].verify(addr); v != nil {
 					v.Core, v.Round, v.AccessIndex = c, r, int64(pos)
 					return v
 				}
@@ -720,11 +716,7 @@ func (s *Simulator) replayEscaped(c, k int, plan *partPlan, ps *partState, res *
 	}
 	if s.chk {
 		for i := 0; i <= hitAt && i < len(shared); i++ {
-			ch := shared[i]
-			tag := addr >> ch.lineBits
-			set := ch.setOf(tag)
-			if v := check.VerifySet(ch.tags, ch.lruOf(set), set*ch.assoc, ch.assoc, tag); v != nil {
-				v.Detail = ch.node.Label() + ": " + v.Detail
+			if v := shared[i].verify(addr); v != nil {
 				return cost, memAccess, v
 			}
 		}

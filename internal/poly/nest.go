@@ -69,29 +69,55 @@ func (n *Nest) Contains(p Point) bool {
 }
 
 // Points enumerates every iteration of the nest in lexicographic (program)
-// order. The result is the iteration space K of §3.2.
+// order. The result is the iteration space K of §3.2, or nil when it is
+// empty.
+//
+// Beside one scratch point it makes two allocations, whatever the nest's
+// size: a first walk only counts the iterations, and a second copies them
+// into one flat []int64. Each Point is the full slice expression
+// flat[i*d:(i+1)*d:(i+1)*d], whose capacity is its length, so appending to
+// one point copies it and can never write into the next; writing its
+// elements in place changes that point alone, as with separately
+// allocated points.
 func (n *Nest) Points() []Point {
-	var out []Point
-	p := make(Point, n.Depth())
-	var rec func(d int)
-	rec = func(d int) {
-		if d == n.Depth() {
-			out = append(out, p.Clone())
-			return
-		}
-		l := n.Loops[d]
-		lo, hi := l.Lower.Eval(p), l.Upper.Eval(p)
-		for v := lo; v <= hi; v += l.Step {
-			p[d] = v
-			rec(d + 1)
-		}
+	d := n.Depth()
+	p := make(Point, d)
+	total := n.walk(p, 0, nil, 0)
+	if total == 0 {
+		return nil
 	}
-	rec(0)
+	flat := make([]int64, total*d)
+	n.walk(p, 0, flat, 0)
+	out := make([]Point, total)
+	for i := range out {
+		out[i] = flat[i*d : (i+1)*d : (i+1)*d]
+	}
 	return out
 }
 
-// Size returns the number of iterations without materializing them when the
-// nest is rectangular; general nests fall back to enumeration.
+// walk visits the iterations of loops d.. in lexicographic order, with the
+// outer loop values in p[:d], and returns i advanced by their count. When
+// flat is non-nil it copies the visited iteration i to flat[i*len(p):].
+// With a nil flat it allocates nothing.
+func (n *Nest) walk(p Point, d int, flat []int64, i int) int {
+	if d == len(p) {
+		if flat != nil {
+			copy(flat[i*d:], p)
+		}
+		return i + 1
+	}
+	l := n.Loops[d]
+	lo, hi := l.Lower.Eval(p), l.Upper.Eval(p)
+	for v := lo; v <= hi; v += l.Step {
+		p[d] = v
+		i = n.walk(p, d+1, flat, i)
+	}
+	return i
+}
+
+// Size returns the number of iterations without materializing them: a
+// product of trip counts when the nest is rectangular, a counting walk
+// otherwise.
 func (n *Nest) Size() int {
 	rect := true
 	total := int64(1)
@@ -109,7 +135,7 @@ func (n *Nest) Size() int {
 	if rect {
 		return int(total)
 	}
-	return len(n.Points())
+	return n.walk(make(Point, n.Depth()), 0, nil, 0)
 }
 
 // Set converts the nest to a constraint set (dropping step information for

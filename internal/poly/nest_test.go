@@ -110,3 +110,98 @@ func TestNestNames(t *testing.T) {
 		t.Fatalf("Depth = %d", n.Depth())
 	}
 }
+
+// recursivePoints is the enumeration Points used before it built the
+// iteration space in one allocation, kept verbatim as its reference.
+func recursivePoints(n *Nest) []Point {
+	var out []Point
+	p := make(Point, n.Depth())
+	var rec func(d int)
+	rec = func(d int) {
+		if d == n.Depth() {
+			out = append(out, p.Clone())
+			return
+		}
+		l := n.Loops[d]
+		lo, hi := l.Lower.Eval(p), l.Upper.Eval(p)
+		for v := lo; v <= hi; v += l.Step {
+			p[d] = v
+			rec(d + 1)
+		}
+	}
+	rec(0)
+	return out
+}
+
+// referenceNests covers the bound shapes Points must enumerate exactly as
+// recursivePoints does.
+func referenceNests() map[string]*Nest {
+	return map[string]*Nest{
+		"rectangular": NewNest(RectLoop("i", 0, 6), RectLoop("j", -3, 4)),
+		"triangular": NewNest(
+			RectLoop("i", 0, 9),
+			Loop{Name: "j", Lower: Constant(0), Upper: Var(0, 2), Step: 1}),
+		"trapezoidal": NewNest(
+			RectLoop("i", 1, 8),
+			Loop{Name: "j", Lower: Var(0, 2), Upper: Var(0, 2).Add(Constant(5)), Step: 1}),
+		"stepped": NewNest(
+			Loop{Name: "i", Lower: Constant(0), Upper: Constant(20), Step: 3},
+			Loop{Name: "j", Lower: Var(0, 2), Upper: Constant(20), Step: 4}),
+		"1-D":   NewNest(RectLoop("i", 5, 40)),
+		"empty": NewNest(RectLoop("i", 0, 3), RectLoop("j", 4, 2)),
+		"3-D": NewNest(
+			RectLoop("i", 0, 4),
+			Loop{Name: "j", Lower: Constant(0), Upper: Var(0, 3), Step: 1},
+			Loop{Name: "k", Lower: Var(1, 3), Upper: Var(0, 3).Add(Constant(2)), Step: 2}),
+	}
+}
+
+// TestPointsMatchRecursive: the flat enumeration yields the reference's
+// points, in the reference's order, and Size counts them.
+func TestPointsMatchRecursive(t *testing.T) {
+	for name, n := range referenceNests() {
+		got, want := n.Points(), recursivePoints(n)
+		if len(got) != len(want) || (got == nil) != (want == nil) {
+			t.Fatalf("%s: %d points (nil %v), want %d (nil %v)", name, len(got), got == nil, len(want), want == nil)
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("%s: point %d = %v, want %v", name, i, got[i], want[i])
+			}
+		}
+		if n.Size() != len(want) {
+			t.Fatalf("%s: Size = %d, want %d", name, n.Size(), len(want))
+		}
+	}
+}
+
+// TestPointsAppendIsolated: the points share one backing array, but each
+// is capped at its own length, so appending to one leaves the next intact.
+func TestPointsAppendIsolated(t *testing.T) {
+	n := NewNest(RectLoop("i", 0, 2), RectLoop("j", 0, 2))
+	pts := n.Points()
+	want := pts[1].Clone()
+	grown := append(pts[0], 99)
+	if !pts[1].Equal(want) {
+		t.Fatalf("append to point 0 overwrote point 1: %v, want %v", pts[1], want)
+	}
+	if len(grown) != 3 || grown[2] != 99 || !pts[0].Equal(Pt(0, 0)) {
+		t.Fatalf("append to point 0 = %v, point 0 now %v", grown, pts[0])
+	}
+}
+
+// BenchmarkNestPoints enumerates a 98176-point trapezoidal nest: three
+// allocations per call (scratch point, flat array, point slice), whatever
+// the size.
+func BenchmarkNestPoints(b *testing.B) {
+	n := NewNest(
+		RectLoop("i", 0, 255),
+		Loop{Name: "j", Lower: Constant(0), Upper: Var(0, 2).Add(Constant(255)), Step: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(n.Points()) == 0 {
+			b.Fatal("no points")
+		}
+	}
+}

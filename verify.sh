@@ -11,6 +11,9 @@
 #                        #   the set-partitioned simulator equivalence
 #                        #   suite under -race (workers 2/4/8 byte-
 #                        #   identical to sequential, CheckFull),
+#                        #   the simulator's array-pool tests under
+#                        #   -race -count=10, the benchmark harness's
+#                        #   own tests (bench/, a separate module),
 #                        #   a 10s fuzz smoke of the language front end,
 #                        #   a -check=sampled smoke of one Table 2
 #                        #   kernel per commercial machine,
@@ -140,6 +143,14 @@ if [ "$1" = "full" ]; then
 	# workers 2/4/8 must be field-identical to the sequential loop over
 	# the Table 2 kernels x commercial machines, under the race detector.
 	go test -race -run 'TestSetPartitioned' -count=1 .
+	# Pooled simulator arrays (DESIGN.md "Reused simulator state"): cold
+	# runs from many goroutines at once, after aborted runs, must match a
+	# fresh simulator; repeated because races show up only in some
+	# interleavings.
+	go test -race -run 'TestPool' -count=10 ./internal/cachesim/
+	# The benchmark harness composes cells from the layers' exported
+	# functions; its module is outside the root go test ./...
+	(cd bench && go test ./...)
 	go test -fuzz=FuzzParse -fuzztime=10s ./internal/lang/
 	for m in harpertown nehalem dunnington; do
 		go run ./cmd/topomap -kernel galgel -machine "$m" -scheme combined -check sampled >/dev/null

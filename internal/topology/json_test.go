@@ -74,6 +74,9 @@ func TestUnmarshalErrors(t *testing.T) {
 		{"core root", `{"name": "x", "root": {}}`, "root cannot be a core"},
 		{"interior no level", `{"name": "x", "root": {"children": [{"children": [{}]}]}}`, "without a cache level"},
 		{"bad cache", `{"name": "x", "root": {"children": [{"level": 1, "children": [{}]}]}}`, "invalid parameters"},
+		{"negative cache latency", `{"name": "x", "root": {"children": [{"level": 1, "sizeBytes": 32768, "assoc": 8, "lineBytes": 64, "latency": -10, "children": [{}]}]}}`, "negative latency"},
+		{"negative memory latency", `{"name": "x", "memLatency": -500, "root": {"children": [{"level": 1, "sizeBytes": 32768, "assoc": 8, "lineBytes": 64, "latency": 3, "children": [{}]}]}}`, "negative memory latency"},
+		{"negative memory occupancy", `{"name": "x", "memOccupancy": -8, "root": {"children": [{"level": 1, "sizeBytes": 32768, "assoc": 8, "lineBytes": 64, "latency": 3, "children": [{}]}]}}`, "negative memory occupancy"},
 	}
 	for _, c := range cases {
 		if _, err := UnmarshalMachine([]byte(c.src)); err == nil {

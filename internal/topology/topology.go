@@ -259,6 +259,14 @@ func (m *Machine) Validate() error {
 	if m.NumCores() == 0 {
 		return fmt.Errorf("topology: %s has no cores", m.Name)
 	}
+	// Latencies are added into unsigned cycle counters: a negative one
+	// wraps into a huge number that would be reported as a result.
+	if m.MemLatency < 0 {
+		return fmt.Errorf("topology: %s: negative memory latency %d", m.Name, m.MemLatency)
+	}
+	if m.MemOccupancy < 0 {
+		return fmt.Errorf("topology: %s: negative memory occupancy %d", m.Name, m.MemOccupancy)
+	}
 	for _, n := range m.nodes {
 		switch n.Kind {
 		case Core:
@@ -268,6 +276,9 @@ func (m *Machine) Validate() error {
 		case Cache:
 			if n.SizeBytes <= 0 || n.Assoc <= 0 || n.LineBytes <= 0 {
 				return fmt.Errorf("topology: %s: cache %s has invalid parameters", m.Name, n.Label())
+			}
+			if n.Latency < 0 {
+				return fmt.Errorf("topology: %s: cache %s has negative latency %d", m.Name, n.Label(), n.Latency)
 			}
 			if n.SizeBytes%(int64(n.Assoc)*n.LineBytes) != 0 {
 				return fmt.Errorf("topology: %s: cache %s size %d not divisible by assoc*line", m.Name, n.Label(), n.SizeBytes)

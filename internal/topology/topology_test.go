@@ -211,6 +211,39 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// TestValidateLatencies: a negative cache latency, memory latency or
+// memory occupancy is rejected (the simulator would wrap it into a huge
+// unsigned cycle count); zero stays legal.
+func TestValidateLatencies(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(m *Machine)
+		want string
+	}{
+		{"negative L2 latency", func(m *Machine) { m.CachesAtLevel(2)[0].Latency = -10 }, "negative latency -10"},
+		{"negative L1 latency", func(m *Machine) { m.CachesAtLevel(1)[3].Latency = -1 }, "negative latency -1"},
+		{"negative memory latency", func(m *Machine) { m.MemLatency = -500 }, "negative memory latency -500"},
+		{"negative memory occupancy", func(m *Machine) { m.MemOccupancy = -1 }, "negative memory occupancy -1"},
+	}
+	for _, c := range cases {
+		m := Clone(Harpertown())
+		c.edit(m)
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q missing %q", c.name, err, c.want)
+		}
+	}
+	zero := Clone(Harpertown())
+	zero.MemLatency, zero.MemOccupancy = 0, 0
+	for _, n := range zero.Nodes() {
+		n.Latency = 0
+	}
+	if err := zero.Validate(); err != nil {
+		t.Errorf("zero latencies rejected: %v", err)
+	}
+}
+
 func TestByName(t *testing.T) {
 	for _, name := range []string{"harpertown", "nehalem", "dunnington", "arch-i", "arch-ii"} {
 		if _, err := ByName(name); err != nil {

@@ -12,9 +12,6 @@
 //	benchtool -j 8                # run grid cells on 8 workers (0 = all
 //	                              # cores, 1 = serial); output is identical
 //	                              # at every -j, only wall time changes
-//	benchtool -simworkers 4       # parallelize each cell's simulation on
-//	                              # the set-partitioned engine; output is
-//	                              # byte-identical at every value
 //	benchtool -cpuprofile p.prof  # write a CPU profile for the whole run
 //	benchtool -memprofile m.prof  # write a heap profile at exit
 //	benchtool -progress           # report cells done/total + ETA on stderr
@@ -36,13 +33,6 @@
 //	benchtool -replay b.json      # re-execute one failed cell from its
 //	                              # bundle, full checking + materialized
 //	                              # trace; exit 0 iff the failure reproduces
-//	benchtool -fabric             # shard the grid across worker processes
-//	                              # via the lease-based sweep fabric; output
-//	                              # is byte-identical to a single-process
-//	                              # run (-fabric-workers, -fabric-listen,
-//	                              # -lease-ttl, -reassign-max tune it)
-//	benchtool worker -coord URL   # run this process as a fabric worker
-//	                              # against a coordinator printed by -fabric
 //
 // Failures degrade, not abort: a failing cell renders as "fail" in figures
 // that support partial results, the remaining experiments still run, every
@@ -72,13 +62,6 @@ func main() { os.Exit(run()) }
 // checkpoint file) executes before the process exits; os.Exit in main
 // would skip it.
 func run() int {
-	// `benchtool worker -coord URL` turns this process into a fabric worker
-	// pulling leased grid batches — the form -fabric spawns locally and
-	// remote hosts run by hand. Intercepted before flag parsing: the worker
-	// vocabulary is its own.
-	if len(os.Args) > 1 && os.Args[1] == "worker" {
-		return cli.WorkerMain("benchtool", os.Args[2:])
-	}
 	exp := flag.String("experiment", "all", "experiment to run (all, table1, table2, fig2, fig13, fig14, fig15, fig16, fig17, fig18, fig19, fig20, alphabeta, deps, ablation, compiletime, steadystate)")
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast pass")
 	kernels := flag.String("kernels", "", "comma-separated kernel subset (default: all twelve)")
@@ -90,6 +73,11 @@ func run() int {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path at exit")
 	rf := cli.AddRunnerFlags(flag.CommandLine, 0)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// The tool takes only flags; a stray word (say, the removed
+		// "worker" subcommand) must not silently start a full run.
+		return fail(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

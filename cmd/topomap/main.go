@@ -13,8 +13,6 @@
 //	topomap -kernel galgel -timeout 30s -retries 1 -checkpoint g.ckpt
 //	topomap -kernel galgel -check sampled  # runtime invariants + sampled oracle
 //	topomap -kernel galgel -chaos-seed 7 -replaydir b/   # fault-inject the checks
-//	topomap -kernel galgel -fabric         # shard cells across worker processes
-//	topomap worker -coord http://host:port # run as a fabric worker
 //
 // A scheme whose evaluation fails renders as a "FAILED" line in place of
 // its statistics; the remaining schemes still run and the exit status is
@@ -40,11 +38,6 @@ func main() { os.Exit(run()) }
 // run carries the whole tool so the deferred checkpoint close executes
 // before the process exits; os.Exit in main would skip it.
 func run() int {
-	// `topomap worker -coord URL` turns this process into a fabric worker;
-	// see cli.WorkerMain. Intercepted before flag parsing.
-	if len(os.Args) > 1 && os.Args[1] == "worker" {
-		return cli.WorkerMain("topomap", os.Args[2:])
-	}
 	kernelName := flag.String("kernel", "galgel", "workload name (see Table 2; plus fig5, wavefront)")
 	srcPath := flag.String("src", "", "compile a loop-nest source file instead of using -kernel")
 	machineName := flag.String("machine", "dunnington", "machine name (harpertown, nehalem, dunnington, arch-i, arch-ii)")
@@ -60,6 +53,11 @@ func run() int {
 	showTree := flag.Bool("tree", true, "print the machine's cache hierarchy tree")
 	rf := cli.AddRunnerFlags(flag.CommandLine, 1)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// The tool takes only flags; a stray word (say, the removed
+		// "worker" subcommand) must not silently start a full run.
+		return fail(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
+	}
 
 	var k *repro.Kernel
 	var err error

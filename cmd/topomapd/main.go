@@ -10,17 +10,15 @@
 // Endpoints:
 //
 //	POST /v1/map     evaluate (or serve from cache); JSON envelope response
-//	POST /v1/record  same pipeline, sealed checkpoint-record response
-//	                 (the fabric-offload wire form)
 //	GET  /healthz    liveness
 //	GET  /readyz     readiness (503 once draining)
-//	GET  /statusz    counters + degradation state (queue, shed, breaker)
+//	GET  /statusz    counters + degradation state (queue, shed, drain)
 //
 // Robustness is the point: bounded admission queue with watermark load
 // shedding (cached results keep serving), per-request deadlines and cycle
 // budgets, request coalescing into a bounded result LRU, panic-to-503
-// containment, a circuit breaker in front of -fabric-url offload, and a
-// graceful SIGTERM/SIGINT drain bounded by -drain-timeout. See
+// containment, and a graceful SIGTERM/SIGINT drain bounded by
+// -drain-timeout. See
 // internal/serve and DESIGN.md "Serving and degradation".
 package main
 
@@ -46,6 +44,9 @@ func run() int {
 	sf := cli.AddServeFlags(fs)
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		return 2
+	}
+	if fs.NArg() > 0 {
+		return fail(fmt.Errorf("unexpected argument %q", fs.Arg(0)))
 	}
 
 	srv, err := serve.New(sf.Options())

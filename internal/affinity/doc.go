@@ -1,6 +1,6 @@
-// Package affinity provides the graph machinery of the paper's algorithms:
-// the weighted iteration-group graph of Fig 6 (edge weight = number of
-// common 1 bits between two group tags, i.e. the degree of data-block
-// sharing), plus strongly-connected-component condensation and topological
-// ordering for the dependence graph of Fig 7.
+// Package affinity provides the dependence-graph machinery of the paper's
+// Fig 7 scheduler: a directed graph over iteration groups with
+// strongly-connected-component condensation and topological ordering.
+// (Fig 6's sharing weights, the number of common 1 bits between two group
+// tags, are computed on the fly by internal/core from tags.Tag.Dot.)
 package affinity

@@ -1,53 +1,6 @@
 package affinity
 
-import (
-	"fmt"
-
-	"repro/internal/tags"
-)
-
-// Graph is a complete weighted undirected graph over iteration groups.
-// Weights are stored densely; group count is modest (tags collapse the
-// iteration space to at most 2^r signatures, in practice tens to hundreds).
-type Graph struct {
-	n      int
-	weight []int32 // row-major n×n, symmetric, zero diagonal
-}
-
-// Build computes the Fig 6 graph: W(i,j) = Dot(tag_i, tag_j) — the number
-// of data blocks groups i and j share.
-func Build(groups []*tags.Group) *Graph {
-	n := len(groups)
-	g := &Graph{n: n, weight: make([]int32, n*n)}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			w := int32(groups[i].Tag.Dot(groups[j].Tag))
-			g.weight[i*n+j] = w
-			g.weight[j*n+i] = w
-		}
-	}
-	return g
-}
-
-// N returns the number of vertices.
-func (g *Graph) N() int { return g.n }
-
-// Weight returns the edge weight between vertices i and j.
-func (g *Graph) Weight(i, j int) int {
-	if i < 0 || i >= g.n || j < 0 || j >= g.n {
-		//lint:ignore cellboundary programmer-error invariant on an internal API; repro.capturePanic converts it to a contained PanicError at the cell boundary
-		panic(fmt.Sprintf("affinity: weight(%d,%d) out of range n=%d", i, j, g.n))
-	}
-	return int(g.weight[i*g.n+j])
-}
-
-// SetWeight overrides an edge weight (used by the conservative dependence
-// mode of §3.5.2, which assigns an effectively infinite weight between
-// dependent groups so clustering keeps them together).
-func (g *Graph) SetWeight(i, j int, w int) {
-	g.weight[i*g.n+j] = int32(w)
-	g.weight[j*g.n+i] = int32(w)
-}
+import "fmt"
 
 // Digraph is a directed graph over group indices, used for dependences.
 // Edge u→v means v depends on u: u must be scheduled no later than v.

@@ -3,47 +3,7 @@ package affinity
 import (
 	"testing"
 	"testing/quick"
-
-	"repro/internal/tags"
 )
-
-func mkGroups(bits ...string) []*tags.Group {
-	gs := make([]*tags.Group, len(bits))
-	for i, b := range bits {
-		gs[i] = &tags.Group{ID: i, Tag: tags.FromBits(b)}
-	}
-	return gs
-}
-
-func TestBuildWeights(t *testing.T) {
-	// Figure 10(a) neighbours: θ101010... and θ010101... share nothing;
-	// θ101010... and θ001010100000 share two blocks.
-	gs := mkGroups("101010000000", "010101000000", "001010100000")
-	g := Build(gs)
-	if g.N() != 3 {
-		t.Fatalf("N = %d", g.N())
-	}
-	if w := g.Weight(0, 1); w != 0 {
-		t.Errorf("W(0,1) = %d, want 0", w)
-	}
-	if w := g.Weight(0, 2); w != 2 {
-		t.Errorf("W(0,2) = %d, want 2", w)
-	}
-	if g.Weight(1, 2) != g.Weight(2, 1) {
-		t.Error("graph not symmetric")
-	}
-	if g.Weight(1, 1) != 0 {
-		t.Error("diagonal should be zero")
-	}
-}
-
-func TestSetWeight(t *testing.T) {
-	g := Build(mkGroups("10", "01"))
-	g.SetWeight(0, 1, 1<<20) // the §3.5.2 "infinite" weight
-	if g.Weight(0, 1) != 1<<20 || g.Weight(1, 0) != 1<<20 {
-		t.Fatal("SetWeight not symmetric")
-	}
-}
 
 func TestDigraphEdges(t *testing.T) {
 	d := NewDigraph(3)

@@ -4,7 +4,7 @@
 //
 // Two checks:
 //
-//   - In internal/experiments, internal/fabric and cmd/*, a call to a
+//   - In internal/experiments, internal/serve and cmd/*, a call to a
 //     function or method that has a "...Context" counterpart (same name +
 //     "Context" suffix,
 //     first parameter context.Context) must use the counterpart. Two
@@ -16,7 +16,7 @@
 //     mechanism, which threads sweep-wide cancellation to no-context
 //     entry points by design).
 //
-//   - In internal/experiments and internal/fabric, context.Background() /
+//   - In internal/experiments and internal/serve, context.Background() /
 //     context.TODO() must not be created: the sweep context arrives from
 //     the driver.
 //     The same convenience-wrapper exemption applies.
@@ -32,7 +32,7 @@ import (
 
 // CallScope matches the packages where ...Context counterparts are
 // mandatory.
-var CallScope = regexp.MustCompile(`(^|/)internal/(experiments|fabric|serve)(/|$)|(^|/)cmd/`)
+var CallScope = regexp.MustCompile(`(^|/)internal/(experiments|serve)(/|$)|(^|/)cmd/`)
 
 // RootScope matches the packages where minting root contexts is
 // forbidden (the driver layer, cmd/*, legitimately creates them). The
@@ -40,7 +40,7 @@ var CallScope = regexp.MustCompile(`(^|/)internal/(experiments|fabric|serve)(/|$
 // from the serve context (via context.WithoutCancel for drain-surviving
 // work), never from a fresh root that would detach in-flight cells from
 // the force-cancel on drain timeout.
-var RootScope = regexp.MustCompile(`(^|/)internal/(experiments|fabric|serve)(/|$)`)
+var RootScope = regexp.MustCompile(`(^|/)internal/(experiments|serve)(/|$)`)
 
 // Analyzer is the ctxflow pass.
 var Analyzer = &analysis.Analyzer{

@@ -2,7 +2,7 @@ package keys
 
 import "fmt"
 
-// BatchRef mirrors the fabric's lease/batch identity: the attempt number
+// BatchRef is a lease/batch identity: the attempt number
 // is part of the identity, so a stale upload from a revoked lease can
 // never satisfy a newer lease on the same cells.
 type BatchRef struct {

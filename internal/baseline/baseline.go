@@ -42,9 +42,9 @@ func Chunks(iters []poly.Point, n int) [][]poly.Point {
 // The machine supplies the private L1 parameters the tile search targets.
 // Loops with carried dependences are left in program order — the candidate
 // reorderings are only legal for fully parallel chunks (a production
-// compiler would run the xform legality check per candidate; our Table 2
-// suite is fully parallel, so the conservative guard only fires for the
-// dependence study kernels).
+// compiler would check each candidate's legality against the dependence
+// distances; our Table 2 suite is fully parallel, so the conservative
+// guard only fires for the dependence study kernels).
 func BasePlus(k *workloads.Kernel, m *topology.Machine, blockBytes int64) ([][]poly.Point, error) {
 	layout := k.Layout(blockBytes)
 	iters := k.Nest.Points()

@@ -3,10 +3,10 @@ package chaos
 import "fmt"
 
 // ClientFault is one injectable client-level misbehavior class, exercised
-// by the topomapd chaos/soak harness (internal/serve/chaostest): where
-// process faults attack the worker carrying a cell, client faults attack
-// the server's front door — the request arrives broken, hostile, or the
-// client vanishes. The serving layer must answer every one of them with a
+// by the topomapd chaos/soak harness (internal/serve/chaostest): where the
+// cell faults corrupt a simulation, client faults attack the server's
+// front door — the request arrives broken, hostile, or the client
+// vanishes. The serving layer must answer every one of them with a
 // well-formed envelope (or a clean connection close for the vanished
 // client) while healthy traffic keeps flowing.
 type ClientFault int

@@ -18,4 +18,9 @@
 // asserts that every poisoned cell fails with the right detector, that every
 // healthy cell renders byte-identically to a clean run, and that each
 // detection writes a replay bundle benchtool -replay reproduces.
+//
+// ClientFault (client.go) is the serving layer's counterpart: seeded
+// hostile-client classes (slow-loris, malformed, oversized, disconnecting)
+// that the topomapd soak harness in internal/serve/chaostest sends
+// alongside healthy traffic.
 package chaos

@@ -11,12 +11,10 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro"
 	"repro/internal/experiments"
-	"repro/internal/fabric"
 	"repro/internal/serve"
 )
 
@@ -25,7 +23,6 @@ import (
 // flag parsing.
 type RunnerFlags struct {
 	Jobs       *int
-	SimWorkers *int
 	Progress   *bool
 	Checkpoint *string
 	Timeout    *time.Duration
@@ -34,15 +31,6 @@ type RunnerFlags struct {
 	Check      *string
 	ChaosSeed  *int64
 	ReplayDir  *string
-
-	// Distributed sweep fabric (internal/fabric). Like -j and -simworkers,
-	// none of these is part of the grid signature: the fabric changes where
-	// cells run, never what they compute.
-	Fabric        *bool
-	FabricWorkers *int
-	FabricListen  *string
-	LeaseTTL      *time.Duration
-	ReassignMax   *int
 }
 
 // AddRunnerFlags registers the shared runner flags on a flag set.
@@ -51,7 +39,6 @@ type RunnerFlags struct {
 func AddRunnerFlags(fs *flag.FlagSet, defaultJobs int) *RunnerFlags {
 	return &RunnerFlags{
 		Jobs:       fs.Int("j", defaultJobs, "worker pool size for grid cells (0 = GOMAXPROCS, 1 = serial; output is identical at any value)"),
-		SimWorkers: fs.Int("simworkers", 1, "intra-cell simulator workers: >1 runs each cell's simulation on the set-partitioned parallel engine (output is byte-identical at any value; 1 = classic sequential event loop)"),
 		Progress:   fs.Bool("progress", false, "report cells done/total and ETA on stderr"),
 		Checkpoint: fs.String("checkpoint", "", "persist completed cells to this file and restore them on re-runs (errors are never checkpointed; the file is bound to this sweep's grid signature)"),
 		Timeout:    fs.Duration("timeout", 0, "per-cell wall-time budget (0 = unlimited); an over-budget cell fails, the rest of the grid continues"),
@@ -60,12 +47,6 @@ func AddRunnerFlags(fs *flag.FlagSet, defaultJobs int) *RunnerFlags {
 		Check:      fs.String("check", "off", "self-checking level: off, invariants (runtime checks in the simulator), sampled (plus differential oracle on 1-in-4 cells), full (oracle on every cell); a failed check turns the cell into a fail row"),
 		ChaosSeed:  fs.Int64("chaos-seed", 0, "arm the fault injector with this seed: ~1 in 3 cells is deterministically corrupted and must be caught by the checks (testing aid; cells are not checkpointed while armed)"),
 		ReplayDir:  fs.String("replaydir", "", "write a replay bundle here for each cell failing a self-check or panicking; re-execute with benchtool -replay <bundle>"),
-
-		Fabric:        fs.Bool("fabric", false, "shard the grid across worker processes via the lease-based sweep fabric (output is byte-identical to a single-process run); spawns -fabric-workers local workers"),
-		FabricWorkers: fs.Int("fabric-workers", 2, "local worker processes the fabric spawns (with -fabric)"),
-		FabricListen:  fs.String("fabric-listen", "127.0.0.1:0", "coordinator listen address (with -fabric); remote workers join with the `worker` subcommand"),
-		LeaseTTL:      fs.Duration("lease-ttl", 2*time.Second, "fabric lease time-to-live: a worker that misses heartbeats for this long loses its batch, which is reassigned"),
-		ReassignMax:   fs.Int("reassign-max", 3, "fabric reassignment budget per batch; an exhausted batch becomes structured per-cell failures (stage fabric) instead of cycling forever"),
 	}
 }
 
@@ -73,9 +54,9 @@ func AddRunnerFlags(fs *flag.FlagSet, defaultJobs int) *RunnerFlags {
 // signature: everything that changes which cells run or what they compute.
 // Tools append their own sweep-defining flags (kernel/machine/scheme
 // selections, figure choice, config overrides) and hash the lot with
-// experiments.GridSignature. -simworkers is deliberately absent, like -j:
-// both only change how cells execute, never what they compute, so a
-// checkpoint written at one worker count resumes at any other.
+// experiments.GridSignature. -j is deliberately absent: it only changes
+// how cells execute, never what they compute, so a checkpoint written at
+// one worker count resumes at any other.
 func (rf *RunnerFlags) GridParts() []string {
 	return []string{
 		fmt.Sprintf("maxcycles=%d", *rf.MaxCycles),
@@ -99,7 +80,6 @@ func (rf *RunnerFlags) Configure(tool, grid string) (*experiments.Runner, func()
 	}
 	r := experiments.NewRunner()
 	r.SetWorkers(*rf.Jobs)
-	r.SetSimWorkers(*rf.SimWorkers)
 	r.SetTimeout(*rf.Timeout)
 	r.SetRetries(*rf.Retries)
 	r.SetMaxCycles(*rf.MaxCycles)
@@ -109,12 +89,7 @@ func (rf *RunnerFlags) Configure(tool, grid string) (*experiments.Runner, func()
 	if *rf.Progress {
 		r.SetProgress(ProgressReporter())
 	}
-	var cleanups []func()
-	cleanup := func() {
-		for i := len(cleanups) - 1; i >= 0; i-- {
-			cleanups[i]()
-		}
-	}
+	cleanup := func() {}
 	if *rf.Checkpoint != "" {
 		n, err := r.SetCheckpoint(*rf.Checkpoint, grid)
 		if err != nil {
@@ -123,102 +98,13 @@ func (rf *RunnerFlags) Configure(tool, grid string) (*experiments.Runner, func()
 		if n > 0 {
 			fmt.Fprintf(os.Stderr, "%s: restored %d cells from %s\n", tool, n, *rf.Checkpoint)
 		}
-		cleanups = append(cleanups, func() {
+		cleanup = func() {
 			if err := r.CloseCheckpoint(); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: checkpoint: %v\n", tool, err)
 			}
-		})
-	}
-	if *rf.Fabric {
-		coord, pool, err := rf.startFabric(tool, grid, mode)
-		if err != nil {
-			cleanup()
-			return nil, nil, err
 		}
-		r.SetDistributor(coord)
-		cleanups = append(cleanups, func() {
-			// Workers first, then the coordinator: a worker mid-poll against
-			// a closed port would burn its connection-failure budget.
-			_ = pool.Close() // kill+reap only; nothing to report
-			if err := coord.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: fabric: %v\n", tool, err)
-			}
-		})
 	}
 	return r, cleanup, nil
-}
-
-// procChaosEnv is the environment variable arming process-level chaos on
-// fabric workers (kill/stall/corrupt-result; see chaos.PickProcess). An
-// env var rather than a flag: it is a test harness control, must never
-// enter a grid signature, and CI sets it for the fault-recovery smoke.
-const procChaosEnv = "REPRO_FABRIC_PROC_CHAOS"
-
-// startFabric launches the coordinator and the local worker pool.
-func (rf *RunnerFlags) startFabric(tool, grid string, mode repro.CheckMode) (*fabric.Coordinator, *fabric.Pool, error) {
-	var procChaos int64
-	if env := os.Getenv(procChaosEnv); env != "" {
-		seed, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fabric: %s=%q is not an integer seed: %w", procChaosEnv, env, err)
-		}
-		procChaos = seed
-		fmt.Fprintf(os.Stderr, "%s: fabric process chaos armed (seed %d): workers will be killed, stalled and corrupted\n", tool, procChaos)
-	}
-	coord, err := fabric.Start(fabric.Options{
-		Grid:        grid,
-		TTL:         *rf.LeaseTTL,
-		ReassignMax: *rf.ReassignMax,
-		Listen:      *rf.FabricListen,
-		Guards: fabric.Guards{
-			TimeoutNS:  int64(*rf.Timeout),
-			MaxCycles:  *rf.MaxCycles,
-			Retries:    *rf.Retries,
-			Check:      int(mode),
-			ChaosSeed:  *rf.ChaosSeed,
-			SimWorkers: *rf.SimWorkers,
-		},
-		ProcChaosSeed: procChaos,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	pool, err := fabric.SpawnLocal(coord.URL(), *rf.FabricWorkers, fabric.SpawnOptions{})
-	if err != nil {
-		_ = coord.Close() // the spawn error is the one worth reporting
-		return nil, nil, err
-	}
-	fmt.Fprintf(os.Stderr, "%s: fabric coordinator at %s, %d local worker(s)\n", tool, coord.URL(), *rf.FabricWorkers)
-	return coord, pool, nil
-}
-
-// WorkerMain is the `worker` subcommand both tools expose: a fabric worker
-// process that pulls leased batches from a coordinator until it shuts
-// down. args is os.Args[2:]; the return value is the process exit code.
-func WorkerMain(tool string, args []string) int {
-	fs := flag.NewFlagSet(tool+" worker", flag.ContinueOnError)
-	coord := fs.String("coord", "", "coordinator base URL (required; printed by the -fabric run)")
-	id := fs.String("id", "", "worker identity for leases and attribution (default w<pid>)")
-	jobs := fs.Int("j", 1, "in-process cell pool size inside this worker")
-	verbose := fs.Bool("v", false, "log protocol events on stderr")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *coord == "" {
-		fmt.Fprintf(os.Stderr, "%s worker: -coord is required\n", tool)
-		return 2
-	}
-	opts := fabric.WorkerOptions{Coordinator: *coord, ID: *id, Jobs: *jobs}
-	if *verbose {
-		opts.Logf = func(format string, a ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", a...)
-		}
-	}
-	if err := fabric.RunWorker(opts); err != nil {
-		fmt.Fprintf(os.Stderr, "%s worker: %v\n", tool, err)
-		return 1
-	}
-	return 0
 }
 
 // ReportFailures prints every cell that stands failed — key, pipeline stage
@@ -270,10 +156,8 @@ type ServeFlags struct {
 	Timeout      *time.Duration
 	MaxTimeout   *time.Duration
 	MaxCycles    *uint64
-	SimWorkers   *int
 	BodyLimit    *int64
 	DrainTimeout *time.Duration
-	FabricURL    *string
 	Checkpoint   *string
 }
 
@@ -289,10 +173,8 @@ func AddServeFlags(fs *flag.FlagSet) *ServeFlags {
 		Timeout:      fs.Duration("timeout", 30*time.Second, "default per-request evaluation budget (clients tighten it with a Request-Timeout header)"),
 		MaxTimeout:   fs.Duration("max-timeout", 2*time.Minute, "hard cap on any client-requested budget"),
 		MaxCycles:    fs.Uint64("maxcycles", 0, "default simulated-cycle budget per evaluation (0 = unlimited); client max_cycles is clamped to it when set"),
-		SimWorkers:   fs.Int("simworkers", 1, "intra-cell simulator workers per evaluation (results are byte-identical at any value)"),
 		BodyLimit:    fs.Int64("body-limit", 1<<20, "request body size cap in bytes"),
 		DrainTimeout: fs.Duration("drain-timeout", 15*time.Second, "graceful-drain bound after SIGTERM: in-flight requests finish within it, stragglers are canceled"),
-		FabricURL:    fs.String("fabric-url", "", "offload cold evaluations to this topomapd/fabric base URL behind a circuit breaker (falls back to local evaluation on brown-out)"),
 		Checkpoint:   fs.String("checkpoint", "", "warm the result cache from this checkpoint file and append computed cells to it (lockfile-guarded; a concurrent sweep on the same file is rejected)"),
 	}
 }
@@ -308,10 +190,8 @@ func (sf *ServeFlags) Options() serve.Options {
 		DefaultTimeout: *sf.Timeout,
 		MaxTimeout:     *sf.MaxTimeout,
 		MaxCycles:      *sf.MaxCycles,
-		SimWorkers:     *sf.SimWorkers,
 		BodyLimit:      *sf.BodyLimit,
 		DrainTimeout:   *sf.DrainTimeout,
-		FabricURL:      *sf.FabricURL,
 		Checkpoint:     *sf.Checkpoint,
 	}
 }

@@ -5,12 +5,11 @@ import (
 	"time"
 )
 
-// Backoff is the jittered exponential backoff policy shared by the
-// runner's per-cell retry (SetRetries) and the fabric's lease reassignment
-// (internal/fabric): delays double per attempt from Base up to Max, and a
-// deterministic jitter spreads retries of different identities apart so a
-// correlated failure (a dead worker holding many cells, a transient
-// machine-wide stall) does not thunder back in lockstep.
+// Backoff is the jittered exponential backoff policy of the runner's
+// per-cell retry (SetRetries): delays double per attempt from Base up to
+// Max, and a deterministic jitter spreads retries of different identities
+// apart so a correlated failure (a transient machine-wide stall) does not
+// thunder back in lockstep.
 //
 // The jitter is a pure function of (Seed, id, attempt) — no global
 // randomness, no wall clock — so a given retry schedule is reproducible,
@@ -30,7 +29,7 @@ type Backoff struct {
 var DefaultBackoff = Backoff{Base: 100 * time.Millisecond, Max: 5 * time.Second}
 
 // Delay returns the pause before the given attempt (attempt 1 is the first
-// retry or reassignment) of the work item with the given identity: Base
+// retry) of the work item with the given identity: Base
 // doubled per attempt, capped at Max, then jittered into [50%, 150%) by a
 // deterministic hash of (Seed, id, attempt).
 func (b Backoff) Delay(id string, attempt int) time.Duration {

@@ -23,12 +23,8 @@ import (
 // simulation result plus the scalar Run fields, keyed by Cell.Key(). The
 // checkpoint file holds one JSON record per line (JSONL), appended as cells
 // complete, so an interrupted sweep keeps everything finished before the
-// interruption and a torn final line loses one cell, not the file.
-//
-// The same record is the fabric's wire format: workers stream completed
-// cells back to the coordinator as checkpoint JSONL (internal/fabric), with
-// Worker naming the process that computed the cell and Sum sealing the
-// record against in-flight corruption (see Seal/Verify).
+// interruption and a torn final line loses one cell, not the file. Sum
+// seals each record against on-disk corruption (see Seal/Verify).
 //
 // Mapping and Schedule are deliberately not persisted: they are large,
 // kernel-pointer-laden artifacts that only topomap's -sched/-code views
@@ -40,20 +36,13 @@ type CheckpointRecord struct {
 	HasDeps   bool             `json:"has_deps,omitempty"`
 	MapTimeNS int64            `json:"map_time_ns,omitempty"`
 	Sim       *cachesim.Result `json:"sim"`
-	// Worker names the process that computed the cell (fabric attribution);
-	// empty for cells computed in-process.
-	Worker string `json:"worker,omitempty"`
-	// WallNS is the computing process's wall-clock cost for the cell,
-	// carried for per-worker attribution; never part of any result.
-	WallNS int64 `json:"wall_ns,omitempty"`
 	// Sum seals the record (see Seal): a checksum over the record's
 	// canonical JSON with Sum itself blank. Empty means unsealed.
 	Sum string `json:"sum,omitempty"`
 }
 
 // RecordForRun flattens a completed run into its checkpoint record. The
-// record is unsealed; call Seal before writing it anywhere corruption could
-// go unnoticed.
+// record is unsealed; CheckpointFile.Append seals it on write.
 func RecordForRun(key string, run *repro.Run) *CheckpointRecord {
 	return &CheckpointRecord{
 		Key:       key,
@@ -95,8 +84,7 @@ func (rec *CheckpointRecord) sum() (string, error) {
 }
 
 // Seal stamps the record's checksum so a later Verify can detect any
-// mutation of its payload — a torn disk write, a byte flipped in flight
-// between a fabric worker and its coordinator.
+// mutation of its payload, such as a torn or bit-flipped disk write.
 func (rec *CheckpointRecord) Seal() error {
 	s, err := rec.sum()
 	if err != nil {
@@ -123,20 +111,15 @@ func (rec *CheckpointRecord) Verify() error {
 	return nil
 }
 
-// CheckpointHeader is the first line of every checkpoint file and of every
-// fabric result upload: the grid signature of the sweep that produced it
-// plus the module version. A resume or a merge whose grid or version
-// differs is rejected — restoring cells from a different sweep (or a
+// CheckpointHeader is the first line of every checkpoint file: the grid
+// signature of the sweep that produced it plus the module version. A
+// resume whose grid or version differs is rejected — restoring cells from a different sweep (or a
 // different build of the simulator) would silently mix incompatible
 // results into the tables.
 type CheckpointHeader struct {
 	Header  bool   `json:"header"`
 	Grid    string `json:"grid"`
 	Version string `json:"version"`
-	// Worker and Lease identify a fabric upload's sender; both are zero in
-	// checkpoint files on disk.
-	Worker string `json:"worker,omitempty"`
-	Lease  uint64 `json:"lease,omitempty"`
 }
 
 // GridSignature hashes the identity of a sweep — whatever strings determine
@@ -153,7 +136,7 @@ func GridSignature(parts ...string) string {
 }
 
 // BuildVersion identifies the running module build, pinned into checkpoint
-// headers and fabric uploads so results never mix across builds.
+// headers so results never mix across builds.
 func BuildVersion() string {
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" {
 		return bi.Main.Version
@@ -506,15 +489,10 @@ func (r *Runner) restoredRecord(key string) (*CheckpointRecord, bool) {
 	return cf.Lookup(key)
 }
 
-// appendCheckpoint persists one completed cell.
-func (r *Runner) appendCheckpoint(key string, run *repro.Run) {
-	r.appendRecord(RecordForRun(key, run))
-}
-
-// appendRecord persists one checkpoint record, if a checkpoint is
+// appendCheckpoint persists one completed cell, if a checkpoint is
 // configured. See CheckpointFile.Append for the crash-safety contract.
-func (r *Runner) appendRecord(rec *CheckpointRecord) {
+func (r *Runner) appendCheckpoint(key string, run *repro.Run) {
 	if cf := r.checkpoint(); cf != nil {
-		cf.Append(rec)
+		cf.Append(RecordForRun(key, run))
 	}
 }

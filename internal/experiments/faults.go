@@ -50,9 +50,8 @@ func (e *CellError) Error() string {
 func (e *CellError) Unwrap() error { return e.Err }
 
 // KnownStages enumerates every stage a *CellError can carry: the stages
-// classifyStage produces, the explicit "panic" stage the runner assigns to
-// panics that escape the repro boundary, and the "fabric" stage the
-// distributed sweep fabric assigns to transport/exhaustion failures. Layers
+// classifyStage produces and the explicit "panic" stage the runner assigns
+// to panics that escape the repro boundary. Layers
 // that map stages onto another vocabulary (e.g. the serve front-end's
 // HTTP statuses) test against this list so a new stage cannot be added
 // without deciding its mapping.
@@ -60,7 +59,7 @@ func KnownStages() []string {
 	return []string{
 		"validate", "map", "trace", "simulate", "oracle",
 		"invariant", "diverged", "cycle-budget", "timeout",
-		"canceled", "panic", "evaluate", "fabric",
+		"canceled", "panic", "evaluate",
 	}
 }
 

@@ -43,7 +43,7 @@ type Cell struct {
 // never checkpointed.
 //
 //topovet:keyof Cell
-//topovet:keyof repro.Config exempt=MaxSimCycles,SimWorkers -- execution knobs: MaxSimCycles bounds how a cell runs (a budget-aborted cell yields an error and is never checkpointed); SimWorkers only parallelizes the simulator's event loop, whose output is byte-identical at every worker count
+//topovet:keyof repro.Config exempt=MaxSimCycles -- execution knob: MaxSimCycles bounds how a cell runs (a budget-aborted cell yields an error and is never checkpointed)
 func (c Cell) Key() string {
 	kname, mname := "<nil>", "<nil>"
 	if c.Kernel != nil {
@@ -110,25 +110,21 @@ type Runner struct {
 	mu    sync.Mutex
 	cache map[string]*cacheEntry
 
-	workers     int
-	simWorkers  int
-	baseCtx     context.Context
-	timeout     time.Duration
-	retries     int
-	retryWait   Backoff
-	maxCycles   uint64
-	checkMode   repro.CheckMode
-	chaosSeed   int64
-	replayDir   string
-	distributor Distributor
+	workers   int
+	baseCtx   context.Context
+	timeout   time.Duration
+	retries   int
+	retryWait Backoff
+	maxCycles uint64
+	checkMode repro.CheckMode
+	chaosSeed int64
+	replayDir string
 
 	// evals counts actual pipeline executions (including retries);
-	// restored counts cells served from the checkpoint instead, and
-	// distHits cells completed by a distributor. Together they verify a
-	// resumed or distributed sweep recomputes nothing locally.
+	// restored counts cells served from the checkpoint instead. Together
+	// they verify a resumed sweep recomputes nothing.
 	evals        atomic.Uint64
 	restoredHits atomic.Uint64
-	distHits     atomic.Uint64
 
 	failMu   sync.Mutex
 	failures map[string]*CellError
@@ -159,19 +155,6 @@ func NewRunner() *Runner {
 func (r *Runner) SetWorkers(n int) {
 	r.mu.Lock()
 	r.workers = n
-	r.mu.Unlock()
-}
-
-// SetSimWorkers installs a default intra-cell worker count applied to every
-// cell whose Config leaves SimWorkers at zero: n > 1 lets the simulator run
-// its set-partitioned engine on up to n goroutines inside one cell. Results
-// are byte-identical at any setting — SimWorkers is an execution knob, never
-// part of a cell's identity — so it composes freely with SetWorkers
-// (cell-level pool) without changing keys, checkpoints or output. n <= 1
-// keeps the classic sequential event loop.
-func (r *Runner) SetSimWorkers(n int) {
-	r.mu.Lock()
-	r.simWorkers = n
 	r.mu.Unlock()
 }
 
@@ -221,8 +204,7 @@ func (r *Runner) SetTimeout(d time.Duration) {
 // attempts before its error is recorded — insurance against transient
 // failures in long sweeps. Attempts are separated by the jittered
 // exponential backoff of SetRetryBackoff (defaulting to DefaultBackoff),
-// the same policy the fabric applies to lease reassignment, so a transient
-// shared cause — memory pressure, a co-tenant burst — has time to clear
+// so a transient shared cause — memory pressure, a co-tenant burst — has time to clear
 // instead of being hammered immediately. Cancellation of the sweep context
 // is never retried. Zero (the default) disables retry.
 func (r *Runner) SetRetries(n int) {
@@ -362,6 +344,18 @@ func (r *Runner) runCell(ctx context.Context, c Cell) (*repro.Run, error) {
 	return e.run, e.err
 }
 
+// entryFor returns the cell's cache entry, creating it when absent.
+func (r *Runner) entryFor(key string) *cacheEntry {
+	r.mu.Lock()
+	e, ok := r.cache[key]
+	if !ok {
+		e = &cacheEntry{}
+		r.cache[key] = e
+	}
+	r.mu.Unlock()
+	return e
+}
+
 // computeCell fills a cache entry: from the checkpoint when the cell was
 // already completed by an earlier run, otherwise by evaluating the pipeline
 // under panic containment, the per-cell budgets and the retry policy.
@@ -381,9 +375,8 @@ func (r *Runner) computeCell(ctx context.Context, key string, c Cell, e *cacheEn
 	made := 0
 	for made < attempts {
 		if made > 0 {
-			// Jittered exponential backoff between attempts: the same
-			// policy the fabric uses between lease reassignments. A dead
-			// sweep context ends the retry loop instead of sleeping on it.
+			// Jittered exponential backoff between attempts. A dead sweep
+			// context ends the retry loop instead of sleeping on it.
 			if !SleepContext(ctx, wait.Delay(key, made)) {
 				break
 			}
@@ -399,13 +392,6 @@ func (r *Runner) computeCell(ctx context.Context, key string, c Cell, e *cacheEn
 			stat.SimCycles = e.run.Sim.TotalCycles
 			stat.Accesses = e.run.Sim.Accesses
 			stat.Status = "ok"
-			if ph := e.run.SimPhases; ph != nil && ph.Partitioned {
-				stat.SimWorkers = ph.Workers
-				stat.SplitWall = ph.SplitWall
-				stat.PrivateWall = ph.PrivateWall
-				stat.ReplayWall = ph.ReplayWall
-				stat.SimEscaped = ph.Escaped
-			}
 		} else {
 			stat.Status, _ = classifyStage(e.err)
 		}
@@ -447,7 +433,6 @@ func (r *Runner) evaluateOnce(ctx context.Context, c Cell) (run *repro.Run, err 
 	maxCycles := r.maxCycles
 	checkMode := r.checkMode
 	chaosSeed := r.chaosSeed
-	simWorkers := r.simWorkers
 	r.mu.Unlock()
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -478,9 +463,6 @@ func (r *Runner) evaluateOnce(ctx context.Context, c Cell) (run *repro.Run, err 
 	}
 	if chaosSeed != 0 && cfg.ChaosSeed == 0 {
 		cfg.ChaosSeed = chaosSeed
-	}
-	if simWorkers > 1 && cfg.SimWorkers == 0 {
-		cfg.SimWorkers = simWorkers
 	}
 	if c.MapMachine != nil {
 		return repro.CrossEvaluateContext(ctx, c.Kernel, c.MapMachine, c.Machine, c.Scheme, cfg)
@@ -515,19 +497,6 @@ func (r *Runner) RunCellsContext(ctx context.Context, cells []Cell) ([]*repro.Ru
 	total := len(unique)
 	start := time.Now() //lint:ignore nondeterminism wall-clock instrumentation: feeds the progress callback's elapsed/ETA, not any result
 	var done atomic.Int64
-
-	// A distributor (the fabric coordinator) takes the batch first: cells
-	// it completes or fails are installed into the memo and only the rest
-	// run on the in-process pool below. The collect loop at the end reads
-	// everything back from the memo either way, so output is byte-identical
-	// with and without distribution.
-	if d := r.getDistributor(); d != nil {
-		before := len(unique)
-		unique = r.distribute(ctx, d, unique)
-		if installed := before - len(unique); installed > 0 {
-			r.reportProgress(int(done.Add(int64(installed))), total, start)
-		}
-	}
 
 	workers := r.Workers()
 	if workers > len(unique) {

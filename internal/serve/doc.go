@@ -25,9 +25,8 @@
 //     from and persisted to a lockfile-guarded checkpoint.
 //   - Lifecycle: /healthz + /readyz + /statusz, graceful drain on context
 //     cancellation (stop accepting, finish in-flight under the drain
-//     deadline, then cancel evaluations), per-request panic-to-503
-//     containment, and a circuit breaker in front of optional fabric
-//     offload that falls back to local evaluation during brown-outs.
+//     deadline, then cancel evaluations) and per-request panic-to-503
+//     containment.
 //
 // The chaos/soak harness in serve/chaostest drives all of this with
 // seeded client faults (internal/chaos) and asserts the invariants: only

@@ -50,8 +50,8 @@ type MapResult struct {
 	Accesses    uint64             `json:"accesses"`
 	MemAccesses uint64             `json:"mem_accesses"`
 	MissRates   map[string]float64 `json:"miss_rates"`
-	// Source is "computed", "fabric", "lru" (cache hit) or "coalesced"
-	// (shared a concurrent evaluation).
+	// Source is "computed", "lru" (cache hit) or "coalesced" (shared a
+	// concurrent evaluation).
 	Source string `json:"source"`
 }
 
@@ -136,9 +136,6 @@ func StatusForStage(stage string) (status int, retryable bool) {
 		return http.StatusInternalServerError, false
 	case "panic", StagePanic:
 		return statusPanic(stage)
-	case "fabric":
-		// The offload fabric failed; the coordinator may recover.
-		return http.StatusBadGateway, true
 	case "timeout":
 		// The wall-clock budget expired; a retry under lighter load (or a
 		// longer Request-Timeout) can succeed.

@@ -31,7 +31,6 @@ var stageGolden = map[string]struct {
 	"invariant":    {http.StatusInternalServerError, false},
 	"diverged":     {http.StatusInternalServerError, false},
 	"panic":        {http.StatusInternalServerError, false},
-	"fabric":       {http.StatusBadGateway, true},
 	"timeout":      {http.StatusGatewayTimeout, true},
 	"canceled":     {499, true},
 

@@ -25,8 +25,7 @@ const (
 // read timeouts, keep-alive reaping, bounded header memory. WriteTimeout
 // is deliberately left alone — a legitimate cold evaluation can take
 // longer than any sane write timeout, and response writing is bounded by
-// the per-request evaluation deadline instead. Shared by topomapd and the
-// fabric coordinator. Returns srv for chaining.
+// the per-request evaluation deadline instead. Returns srv for chaining.
 func Harden(srv *http.Server) *http.Server {
 	if srv.ReadHeaderTimeout == 0 {
 		srv.ReadHeaderTimeout = DefaultReadHeaderTimeout

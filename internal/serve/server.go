@@ -44,8 +44,6 @@ type Options struct {
 	// MaxCycles is the default simulated-cycle budget per evaluation
 	// (0 = unlimited); a request's max_cycles is clamped to it when set.
 	MaxCycles uint64
-	// SimWorkers bounds each evaluation's intra-cell simulator pool.
-	SimWorkers int
 	// BodyLimit caps request-body bytes. Default 1 MiB.
 	BodyLimit int64
 	// BodyTimeout bounds reading the request body (slow-loris guard).
@@ -54,10 +52,6 @@ type Options struct {
 	// DrainTimeout bounds the graceful drain after the serve context is
 	// canceled; in-flight work past it is force-canceled. Default 15s.
 	DrainTimeout time.Duration
-	// FabricURL, when set, offloads cold evaluations to another topomapd
-	// (or a fabric front end speaking /v1/record) behind a circuit
-	// breaker, falling back to local evaluation when it browns out.
-	FabricURL string
 	// Checkpoint, when set, is a JSONL checkpoint path (PR 5 format):
 	// restored records warm the LRU at startup and computed cells are
 	// appended, under the checkpoint lockfile (a concurrent CLI sweep on
@@ -111,7 +105,6 @@ type Server struct {
 	lru     *experiments.ResultLRU
 	flights *experiments.FlightGroup
 	ckpt    *experiments.CheckpointFile
-	offload *offloader
 
 	// queue admits cold evaluations (queued + running); slots and
 	// adhocSlots cap the running classes.
@@ -126,8 +119,8 @@ type Server struct {
 	httpSrv  *http.Server
 
 	stats struct {
-		requests, lruHits, coalesced, computed, fabric atomic.Uint64
-		cellFails, shed, queueFull, panics             atomic.Uint64
+		requests, lruHits, coalesced, computed atomic.Uint64
+		cellFails, shed, queueFull, panics     atomic.Uint64
 	}
 }
 
@@ -153,9 +146,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if s.shedMark < 1 {
 		s.shedMark = 1
-	}
-	if opts.FabricURL != "" {
-		s.offload = newOffloader(opts.FabricURL)
 	}
 	if opts.Checkpoint != "" {
 		ckpt, err := experiments.OpenCheckpoint(opts.Checkpoint, experiments.GridSignature(ServeGrid))
@@ -186,8 +176,7 @@ func (s *Server) Close() error {
 // without a body or taking the process down.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/map", func(w http.ResponseWriter, r *http.Request) { s.serveMap(w, r, false) })
-	mux.HandleFunc("/v1/record", func(w http.ResponseWriter, r *http.Request) { s.serveMap(w, r, true) })
+	mux.HandleFunc("/v1/map", s.serveMap)
 	mux.HandleFunc("/healthz", s.serveHealthz)
 	mux.HandleFunc("/readyz", s.serveReadyz)
 	mux.HandleFunc("/statusz", s.serveStatusz)
@@ -271,10 +260,8 @@ type parsed struct {
 	timeout time.Duration
 }
 
-// serveMap is the evaluation pipeline shared by /v1/map (envelope
-// response) and /v1/record (sealed checkpoint-record response, the fabric
-// offload form).
-func (s *Server) serveMap(w http.ResponseWriter, r *http.Request, record bool) {
+// serveMap is the /v1/map evaluation pipeline.
+func (s *Server) serveMap(w http.ResponseWriter, r *http.Request) {
 	s.stats.requests.Add(1)
 	if r.Method != http.MethodPost {
 		status, env := errorEnvelope(StageMethod, fmt.Sprintf("%s requires POST", r.URL.Path), 0)
@@ -296,7 +283,7 @@ func (s *Server) serveMap(w http.ResponseWriter, r *http.Request, record bool) {
 	// Cache first: hits serve even above the shed watermark.
 	if rec, ok := s.lru.Get(p.key); ok {
 		s.stats.lruHits.Add(1)
-		s.respond(w, p, rec, nil, "lru", record)
+		s.respond(w, p, rec, nil, "lru")
 		return
 	}
 
@@ -320,7 +307,7 @@ func (s *Server) serveMap(w http.ResponseWriter, r *http.Request, record bool) {
 			writeEnvelope(w, status, env)
 			return
 		}
-		s.respond(w, p, rec, ce, "coalesced", record)
+		s.respond(w, p, rec, ce, "coalesced")
 		return
 	}
 
@@ -334,7 +321,7 @@ func (s *Server) serveMap(w http.ResponseWriter, r *http.Request, record bool) {
 
 	rec, ce, source := s.admitAndEvaluate(r, f, p)
 	f.Resolve(rec, ce)
-	s.respond(w, p, rec, ce, source, record)
+	s.respond(w, p, rec, ce, source)
 }
 
 // admitAndEvaluate runs the leader's half: admission (queue bound,
@@ -384,28 +371,15 @@ func (s *Server) admitAndEvaluate(r *http.Request, f *experiments.Flight, p *par
 	return rec, ce, source
 }
 
-// evaluate computes one cell: offloaded to the fabric when the breaker
-// allows, locally otherwise (and as fallback when offload fails at the
-// transport level).
+// evaluate computes one cell in process.
 func (s *Server) evaluate(ctx context.Context, p *parsed) (*experiments.CheckpointRecord, *experiments.CellError, string) {
-	if s.offload != nil {
-		if rec, ce, ok := s.offload.try(ctx, p); ok {
-			s.stats.fabric.Add(1)
-			return rec, ce, "fabric"
-		}
-	}
 	run, err := repro.EvaluateContext(ctx, p.kernel, p.machine, p.scheme, p.cfg)
 	if err != nil {
 		s.stats.cellFails.Add(1)
 		return nil, experiments.NewCellError(p.key, 1, err), "computed"
 	}
 	s.stats.computed.Add(1)
-	rec := experiments.RecordForRun(p.key, run)
-	if serr := rec.Seal(); serr != nil {
-		s.stats.cellFails.Add(1)
-		return nil, experiments.NewCellError(p.key, 1, serr), "computed"
-	}
-	return rec, nil, "computed"
+	return experiments.RecordForRun(p.key, run), nil, "computed"
 }
 
 // shedError is the CellError form of an admission rejection, so coalesced
@@ -416,17 +390,8 @@ func shedError(key, stage, msg string, retryAfterMS int64) *experiments.CellErro
 }
 
 // respond renders the pipeline outcome for one client.
-func (s *Server) respond(w http.ResponseWriter, p *parsed, rec *experiments.CheckpointRecord, ce *experiments.CellError, source string, record bool) {
+func (s *Server) respond(w http.ResponseWriter, p *parsed, rec *experiments.CheckpointRecord, ce *experiments.CellError, source string) {
 	switch {
-	case rec != nil && record:
-		w.Header().Set("Content-Type", "application/json")
-		data, err := json.Marshal(rec)
-		if err != nil {
-			status, env := errorEnvelope("evaluate", "encoding record: "+err.Error(), 0)
-			writeEnvelope(w, status, env)
-			return
-		}
-		_, _ = w.Write(data)
 	case rec != nil:
 		res := resultFromRecord(rec, p.kernel.Name, p.machine.Name, p.req.Scheme, source)
 		w.Header().Set("Content-Type", "application/json")
@@ -560,7 +525,6 @@ func (s *Server) resolve(p *parsed) error {
 			return err
 		}
 	}
-	cfg.SimWorkers = s.opts.SimWorkers
 	p.cfg = cfg
 
 	key := experiments.Cell{Kernel: p.kernel, Machine: p.machine, Scheme: p.scheme, Config: cfg}.Key()
@@ -659,31 +623,28 @@ type Status struct {
 	LRUHits   uint64 `json:"lru_hits"`
 	Coalesced uint64 `json:"coalesced"`
 	Computed  uint64 `json:"computed"`
-	Fabric    uint64 `json:"fabric"`
 	CellFails uint64 `json:"cell_fails"`
 	Shed      uint64 `json:"shed"`
 	QueueFull uint64 `json:"queue_full"`
 	Panics    uint64 `json:"panics"`
 
-	QueueDepth int    `json:"queue_depth"`
-	QueueCap   int    `json:"queue_cap"`
-	ShedMark   int    `json:"shed_mark"`
-	Inflight   int    `json:"inflight"`
-	LRULen     int    `json:"lru_len"`
-	LRUCap     int    `json:"lru_cap"`
-	Breaker    string `json:"breaker,omitempty"`
-	Draining   bool   `json:"draining"`
+	QueueDepth int  `json:"queue_depth"`
+	QueueCap   int  `json:"queue_cap"`
+	ShedMark   int  `json:"shed_mark"`
+	Inflight   int  `json:"inflight"`
+	LRULen     int  `json:"lru_len"`
+	LRUCap     int  `json:"lru_cap"`
+	Draining   bool `json:"draining"`
 }
 
 // CurrentStatus snapshots the server's counters (also used by tests and
 // the chaos harness to assert bounded state).
 func (s *Server) CurrentStatus() Status {
-	st := Status{
+	return Status{
 		Requests:   s.stats.requests.Load(),
 		LRUHits:    s.stats.lruHits.Load(),
 		Coalesced:  s.stats.coalesced.Load(),
 		Computed:   s.stats.computed.Load(),
-		Fabric:     s.stats.fabric.Load(),
 		CellFails:  s.stats.cellFails.Load(),
 		Shed:       s.stats.shed.Load(),
 		QueueFull:  s.stats.queueFull.Load(),
@@ -696,10 +657,6 @@ func (s *Server) CurrentStatus() Status {
 		LRUCap:     s.lru.Cap(),
 		Draining:   s.draining.Load(),
 	}
-	if s.offload != nil {
-		st.Breaker = s.offload.breaker.State()
-	}
-	return st
 }
 
 func (s *Server) serveStatusz(w http.ResponseWriter, r *http.Request) {

@@ -109,6 +109,11 @@ func TestServeMapValidateRejections(t *testing.T) {
 		`{"kernel":"fig5","machine":"dunnington","scheme":"quantum"}`, // unknown scheme
 		`{"kernel":"fig5","kernel_source":"x","machine":"dunnington"}`,
 		`{"kernel":"fig5","machine":"dunnington","passes":1000}`, // over maxUploadPasses
+		// Negative latencies would wrap into a huge unsigned cycle count.
+		`{"kernel":"fig5","scheme":"base","machine_json":{"name":"neg","memLatency":-500,"root":{"children":[` +
+			`{"level":2,"sizeBytes":262144,"assoc":8,"lineBytes":64,"latency":-10,"children":[` +
+			`{"level":1,"sizeBytes":32768,"assoc":8,"lineBytes":64,"latency":3,"children":[{}]},` +
+			`{"level":1,"sizeBytes":32768,"assoc":8,"lineBytes":64,"latency":3,"children":[{}]}]}]}}}`,
 	}
 	for _, body := range cases {
 		status, data, env := postMap(t, ts.URL, body, nil)
@@ -320,37 +325,6 @@ func TestServeMapBudgetTimeout(t *testing.T) {
 	}
 }
 
-// TestServeRecordEndpoint: /v1/record answers a sealed checkpoint record —
-// the fabric offload wire form — whose seal verifies.
-func TestServeRecordEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	resp, err := http.Post(ts.URL+"/v1/record", "application/json", strings.NewReader(fig5Base))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, body %s", resp.StatusCode, data)
-	}
-	rec := &experiments.CheckpointRecord{}
-	if err := json.Unmarshal(data, rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Key == "" || rec.Sim == nil {
-		t.Fatalf("record incomplete: %s", data)
-	}
-	if rec.Sum == "" {
-		t.Fatal("record is unsealed")
-	}
-	if err := rec.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestServeAdhocKeysByDigest: two different kernel sources sharing a name
 // must not collide in the cache — their keys differ by content digest.
 func TestServeAdhocKeysByDigest(t *testing.T) {
@@ -419,107 +393,6 @@ func TestServeCheckpointWarmStart(t *testing.T) {
 	}
 	if st := s2.CurrentStatus(); st.Computed != 0 {
 		t.Errorf("warm start recomputed %d cells", st.Computed)
-	}
-}
-
-// TestOffloadEndToEnd: a server with -fabric-url pointed at a second
-// topomapd offloads its cold evaluation over the /v1/record protocol and
-// reports source "fabric"; the backend's sealed record survives the trip.
-func TestOffloadEndToEnd(t *testing.T) {
-	_, backendTS := newTestServer(t, Options{})
-	front, frontTS := newTestServer(t, Options{FabricURL: backendTS.URL})
-
-	status, body, env := postMap(t, frontTS.URL, fig5Base, nil)
-	if status != http.StatusOK {
-		t.Fatalf("offloaded request: status %d, body %s", status, body)
-	}
-	if env.Result.Source != "fabric" {
-		t.Errorf("source = %q, want fabric", env.Result.Source)
-	}
-	if st := front.CurrentStatus(); st.Fabric != 1 || st.Computed != 0 {
-		t.Errorf("front counters fabric/computed = %d/%d, want 1/0", st.Fabric, st.Computed)
-	}
-	if st := front.CurrentStatus(); st.Breaker != "closed" {
-		t.Errorf("breaker = %s after a successful offload, want closed", st.Breaker)
-	}
-}
-
-// TestOffloadBreakerFallback: a black-holed fabric URL trips the breaker
-// after its failure limit; every request is still answered locally, and
-// once open the breaker stops even trying the fabric.
-func TestOffloadBreakerFallback(t *testing.T) {
-	// A listener that accepts nothing useful: immediate connection refusal
-	// after close.
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadURL := "http://" + dead.Addr().String()
-	dead.Close()
-
-	front, frontTS := newTestServer(t, Options{FabricURL: deadURL})
-	schemes := []string{"base", "local", "ta", "combined"}
-	for i, scheme := range schemes {
-		body := `{"kernel":"fig5","machine":"dunnington","scheme":"` + scheme + `"}`
-		status, data, env := postMap(t, frontTS.URL, body, nil)
-		if status != http.StatusOK {
-			t.Fatalf("request %d: status %d, body %s", i, status, data)
-		}
-		if env.Result.Source != "computed" {
-			t.Errorf("request %d source = %q, want computed (local fallback)", i, env.Result.Source)
-		}
-	}
-	st := front.CurrentStatus()
-	if st.Breaker != "open" {
-		t.Errorf("breaker = %s after repeated transport failures, want open", st.Breaker)
-	}
-	if st.Computed != uint64(len(schemes)) {
-		t.Errorf("computed = %d, want %d (every request served locally)", st.Computed, len(schemes))
-	}
-}
-
-// TestOffloadAuthoritativeFailure: a structured cell failure from the
-// fabric is an authoritative answer — relayed to the client, not treated
-// as a breaker failure.
-func TestOffloadAuthoritativeFailure(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		status, env := errorEnvelope("map", "fabric: no legal mapping", 0)
-		writeEnvelope(w, status, env)
-	}))
-	defer backend.Close()
-
-	front, frontTS := newTestServer(t, Options{FabricURL: backend.URL})
-	status, data, env := postMap(t, frontTS.URL, fig5Base, nil)
-	if status != http.StatusUnprocessableEntity {
-		t.Fatalf("status %d, want 422 (body %s)", status, data)
-	}
-	if err := check.VerifyEnvelope(status, data); err != nil {
-		t.Fatal(err)
-	}
-	if env.Error.Stage != "map" {
-		t.Errorf("stage = %q, want map", env.Error.Stage)
-	}
-	if st := front.CurrentStatus(); st.Breaker != "closed" {
-		t.Errorf("breaker = %s after an authoritative failure, want closed", st.Breaker)
-	}
-}
-
-// TestOffloadRejectsCorruptRecord: a record whose seal does not verify is
-// a breaker failure and the evaluation falls back to local.
-func TestOffloadRejectsCorruptRecord(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// A structurally valid record with a wrong seal.
-		io.WriteString(w, `{"key":"x","sim":{"total_cycles":1},"sum":"deadbeefdeadbeef"}`)
-	}))
-	defer backend.Close()
-
-	front, frontTS := newTestServer(t, Options{FabricURL: backend.URL})
-	status, _, env := postMap(t, frontTS.URL, fig5Base, nil)
-	if status != http.StatusOK || env.Result.Source != "computed" {
-		t.Fatalf("corrupt offload record: status %d source %v, want 200 computed", status, env)
-	}
-	if st := front.CurrentStatus(); st.Fabric != 0 {
-		t.Errorf("fabric counter = %d for a rejected record, want 0", st.Fabric)
 	}
 }
 

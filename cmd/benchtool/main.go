@@ -74,8 +74,8 @@ func run() int {
 	rf := cli.AddRunnerFlags(flag.CommandLine, 0)
 	flag.Parse()
 	if flag.NArg() > 0 {
-		// The tool takes only flags; a stray word (say, the removed
-		// "worker" subcommand) must not silently start a full run.
+		// The tool takes only flags; a stray word must not silently
+		// start a full run.
 		return fail(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
 	}
 

@@ -18,8 +18,8 @@
 // shedding (cached results keep serving), per-request deadlines and cycle
 // budgets, request coalescing into a bounded result LRU, panic-to-503
 // containment, and a graceful SIGTERM/SIGINT drain bounded by
-// -drain-timeout. See
-// internal/serve and DESIGN.md "Serving and degradation".
+// -drain-timeout. See internal/serve and DESIGN.md "Serving and
+// degradation".
 package main
 
 import (

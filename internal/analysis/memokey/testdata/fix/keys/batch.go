@@ -2,9 +2,9 @@ package keys
 
 import "fmt"
 
-// BatchRef is a lease/batch identity: the attempt number
-// is part of the identity, so a stale upload from a revoked lease can
-// never satisfy a newer lease on the same cells.
+// BatchRef is a lease/batch identity: the attempt number is part of the
+// identity, so a stale upload from a revoked lease can never satisfy a
+// newer lease on the same cells.
 type BatchRef struct {
 	Grid    string
 	Index   int

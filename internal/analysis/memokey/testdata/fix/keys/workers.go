@@ -4,10 +4,9 @@ import "fmt"
 
 // SimConfig is a config with an execution knob: identity fields that must
 // be keyed, plus a worker count that parallelizes execution without
-// changing its (byte-identical) output. The knob must
-// stay OUT of the memo key — two runs differing only in workers are the
-// same experiment — but the analyzer must force that omission to be
-// declared, not silent.
+// changing its (byte-identical) output. The knob must stay OUT of the memo
+// key — two runs differing only in workers are the same experiment — but
+// the analyzer must force that omission to be declared, not silent.
 type SimConfig struct {
 	Kernel  string
 	Machine string

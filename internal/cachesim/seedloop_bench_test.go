@@ -2,10 +2,10 @@ package cachesim
 
 // BenchmarkSimulatorHotPath compares the fused event loop (batched cursor
 // pulls, interleaved way arrays, shift/mask-or-fastmod set indexing, heap
-// replace-top, hoisted checks) against a faithful copy of the seed implementation — separate tag and
-// stamp arrays, modulo set indexing, per-access cursor.Next, pop+push heap
-// re-arm, separate access and fill scans, per-access check branches — on
-// the Fig 17-weak headline cell (galgel scaled x8 on the 24-core scaled
+// replace-top, hoisted checks) against a faithful copy of the seed
+// implementation — separate tag and stamp arrays, modulo set indexing,
+// per-access cursor.Next, pop+push heap re-arm, separate access and fill
+// scans, per-access check branches — on the Fig 17-weak headline cell (galgel scaled x8 on the 24-core scaled
 // Dunnington, Base order). The seed is copied here rather than summoned
 // from git so the comparison runs in one binary; record runs into
 // BENCH_simulator_hotpath.json.

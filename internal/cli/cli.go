@@ -1,9 +1,10 @@
 // Package cli holds the runner plumbing the command-line tools share:
 // the fault-isolation flags (-checkpoint, -timeout, -retries, -maxcycles),
 // the self-checking flags (-check, -chaos-seed, -replaydir), the
-// worker-pool and progress flags, and the end-of-run failure report.
+// worker-pool (-j) and progress flags, and the end-of-run failure report.
 // benchtool and topomap bind these to their own flag sets so both expose
-// the same execution-guard vocabulary.
+// the same execution-guard vocabulary; every cell runs in this process.
+// topomapd's flags (ServeFlags) live here too.
 package cli
 
 import (

@@ -29,8 +29,8 @@ type Backoff struct {
 var DefaultBackoff = Backoff{Base: 100 * time.Millisecond, Max: 5 * time.Second}
 
 // Delay returns the pause before the given attempt (attempt 1 is the first
-// retry) of the work item with the given identity: Base
-// doubled per attempt, capped at Max, then jittered into [50%, 150%) by a
+// retry) of the work item with the given identity: Base doubled per
+// attempt, capped at Max, then jittered into [50%, 150%) by a
 // deterministic hash of (Seed, id, attempt).
 func (b Backoff) Delay(id string, attempt int) time.Duration {
 	base, max := b.Base, b.Max

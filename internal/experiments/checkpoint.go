@@ -113,9 +113,9 @@ func (rec *CheckpointRecord) Verify() error {
 
 // CheckpointHeader is the first line of every checkpoint file: the grid
 // signature of the sweep that produced it plus the module version. A
-// resume whose grid or version differs is rejected — restoring cells from a different sweep (or a
-// different build of the simulator) would silently mix incompatible
-// results into the tables.
+// resume whose grid or version differs is rejected — restoring cells from
+// a different sweep (or a different build of the simulator) would silently
+// mix incompatible results into the tables.
 type CheckpointHeader struct {
 	Header  bool   `json:"header"`
 	Grid    string `json:"grid"`

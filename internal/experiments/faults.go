@@ -51,10 +51,10 @@ func (e *CellError) Unwrap() error { return e.Err }
 
 // KnownStages enumerates every stage a *CellError can carry: the stages
 // classifyStage produces and the explicit "panic" stage the runner assigns
-// to panics that escape the repro boundary. Layers
-// that map stages onto another vocabulary (e.g. the serve front-end's
-// HTTP statuses) test against this list so a new stage cannot be added
-// without deciding its mapping.
+// to panics that escape the repro boundary. Layers that map stages onto
+// another vocabulary (e.g. the serve front-end's HTTP statuses) test
+// against this list so a new stage cannot be added without deciding its
+// mapping.
 func KnownStages() []string {
 	return []string{
 		"validate", "map", "trace", "simulate", "oracle",

@@ -204,9 +204,9 @@ func (r *Runner) SetTimeout(d time.Duration) {
 // attempts before its error is recorded — insurance against transient
 // failures in long sweeps. Attempts are separated by the jittered
 // exponential backoff of SetRetryBackoff (defaulting to DefaultBackoff),
-// so a transient shared cause — memory pressure, a co-tenant burst — has time to clear
-// instead of being hammered immediately. Cancellation of the sweep context
-// is never retried. Zero (the default) disables retry.
+// so a transient shared cause — memory pressure, a co-tenant burst — has
+// time to clear instead of being hammered immediately. Cancellation of the
+// sweep context is never retried. Zero (the default) disables retry.
 func (r *Runner) SetRetries(n int) {
 	r.mu.Lock()
 	r.retries = n

@@ -361,25 +361,18 @@ func (s *Server) admitAndEvaluate(r *http.Request, f *experiments.Flight, p *par
 	}
 	defer func() { <-slots }()
 
-	rec, ce, source := s.evaluate(evalCtx, p)
-	if rec != nil {
-		s.lru.Add(p.key, rec)
-		if s.ckpt != nil {
-			s.ckpt.Append(rec)
-		}
-	}
-	return rec, ce, source
-}
-
-// evaluate computes one cell in process.
-func (s *Server) evaluate(ctx context.Context, p *parsed) (*experiments.CheckpointRecord, *experiments.CellError, string) {
-	run, err := repro.EvaluateContext(ctx, p.kernel, p.machine, p.scheme, p.cfg)
+	run, err := repro.EvaluateContext(evalCtx, p.kernel, p.machine, p.scheme, p.cfg)
 	if err != nil {
 		s.stats.cellFails.Add(1)
 		return nil, experiments.NewCellError(p.key, 1, err), "computed"
 	}
 	s.stats.computed.Add(1)
-	return experiments.RecordForRun(p.key, run), nil, "computed"
+	rec := experiments.RecordForRun(p.key, run)
+	s.lru.Add(p.key, rec)
+	if s.ckpt != nil {
+		s.ckpt.Append(rec)
+	}
+	return rec, nil, "computed"
 }
 
 // shedError is the CellError form of an admission rejection, so coalesced

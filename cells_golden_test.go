@@ -8,7 +8,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,9 +55,10 @@ type goldenCell struct {
 
 // TestCellsGolden recomputes every pinned cell and names each one whose
 // total cycles or full result moved since testdata/cells.golden was
-// written. Worker-count independence is TestDriverOutputIdenticalAcrossWorkers'
-// job; this test is what keeps results from drifting between commits. The
-// golden changes only through `go test -run TestCellsGolden -update .`.
+// written. Worker-count independence is the job of
+// TestDriverOutputIdenticalAcrossWorkers; this test is what keeps results
+// from drifting between commits. The golden changes only through
+// `go test -run TestCellsGolden -update .`.
 func TestCellsGolden(t *testing.T) {
 	cells := goldenCells()
 	r := experiments.NewRunner()
@@ -82,9 +82,6 @@ func TestCellsGolden(t *testing.T) {
 		b.WriteString("# cell key\ttotal cycles\tsha256(json(SimResult)); regenerate with go test -run TestCellsGolden -update .\n")
 		for _, k := range keys {
 			fmt.Fprintf(&b, "%s\t%d\t%s\n", k, got[k].cycles, got[k].digest)
-		}
-		if err := os.MkdirAll(filepath.Dir(cellsGolden), 0o755); err != nil {
-			t.Fatal(err)
 		}
 		if err := os.WriteFile(cellsGolden, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)

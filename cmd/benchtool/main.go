@@ -12,6 +12,9 @@
 //	benchtool -j 8                # run grid cells on 8 workers (0 = all
 //	                              # cores, 1 = serial); output is identical
 //	                              # at every -j, only wall time changes
+//	benchtool -simworkers 4       # parallelize each cell's simulation on
+//	                              # the set-partitioned engine; output is
+//	                              # byte-identical at every value
 //	benchtool -cpuprofile p.prof  # write a CPU profile for the whole run
 //	benchtool -memprofile m.prof  # write a heap profile at exit
 //	benchtool -progress           # report cells done/total + ETA on stderr

@@ -2,31 +2,32 @@ package keys
 
 import "fmt"
 
-// SimConfig is a config with an execution knob: identity fields that must
-// be keyed, plus a worker count that parallelizes execution without
-// changing its (byte-identical) output. The knob must stay OUT of the memo
-// key — two runs differing only in workers are the same experiment — but
-// the analyzer must force that omission to be declared, not silent.
+// SimConfig mirrors the repo's Config around the SimWorkers knob: identity
+// fields that must be keyed, plus a worker count that parallelizes the
+// simulator without changing its (byte-identical) output. The knob must
+// stay OUT of the memo key — two runs differing only in workers are the
+// same experiment — but the analyzer must force that omission to be
+// declared, not silent.
 type SimConfig struct {
-	Kernel  string
-	Machine string
-	Workers int
+	Kernel     string
+	Machine    string
+	SimWorkers int
 }
 
-// WorkerKey is the regression pin for the worker-count exemption: the
+// WorkerKey is the regression pin for the SimWorkers-style exemption: the
 // key covers every identity field and leaves the worker knob out with a
 // stated reason. This must stay clean.
 //
-//topovet:keyof SimConfig exempt=Workers -- worker count only parallelizes execution; results are byte-identical at any value
+//topovet:keyof SimConfig exempt=SimWorkers -- worker count only parallelizes execution; results are byte-identical at any value
 func WorkerKey(c SimConfig) string {
 	return fmt.Sprintf("%s|%s", c.Kernel, c.Machine)
 }
 
-// ForgotWorkerExemption omits Workers from the key without declaring
+// ForgotWorkerExemption omits SimWorkers from the key without declaring
 // it: the analyzer must flag it rather than let the omission pass as
 // intentional.
 //
 //topovet:keyof SimConfig
-func ForgotWorkerExemption(c SimConfig) string { // want `ForgotWorkerExemption does not cover SimConfig.Workers`
+func ForgotWorkerExemption(c SimConfig) string { // want `ForgotWorkerExemption does not cover SimConfig.SimWorkers`
 	return fmt.Sprintf("%s|%s", c.Kernel, c.Machine)
 }

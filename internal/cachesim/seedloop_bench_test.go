@@ -2,16 +2,18 @@ package cachesim
 
 // BenchmarkSimulatorHotPath compares the fused event loop (batched cursor
 // pulls, interleaved way arrays, shift/mask-or-fastmod set indexing, heap
-// replace-top, hoisted checks) against a faithful copy of the seed
-// implementation — separate tag and stamp arrays, modulo set indexing,
-// per-access cursor.Next, pop+push heap re-arm, separate access and fill
-// scans, per-access check branches — on the Fig 17-weak headline cell (galgel scaled x8 on the 24-core scaled
+// replace-top, hoisted checks) and the set-partitioned parallel engine
+// against a faithful copy of the seed implementation — separate tag and
+// stamp arrays, modulo set indexing, per-access cursor.Next, pop+push heap
+// re-arm, separate access and fill scans, per-access check branches — on
+// the Fig 17-weak headline cell (galgel scaled x8 on the 24-core scaled
 // Dunnington, Base order). The seed is copied here rather than summoned
 // from git so the comparison runs in one binary; record runs into
 // BENCH_simulator_hotpath.json.
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -329,9 +331,26 @@ func TestSeedLoopMatchesFused(t *testing.T) {
 
 // BenchmarkSimulatorHotPath: ns/op of one full headline-cell simulation.
 // "seed" is the pre-fusion implementation; "fused" the rewritten
-// sequential loop (see BENCH_simulator_hotpath.json).
+// sequential loop; "workers=N" the set-partitioned engine. On a single-CPU
+// host the worker variants measure overhead, not scaling — read
+// multi-worker numbers from a multicore host (see
+// BENCH_simulator_hotpath.json notes).
 func BenchmarkSimulatorHotPath(b *testing.B) {
 	src, m := headlineCell(b)
+	run := func(b *testing.B, lim Limits) {
+		s := New(m)
+		b.ReportAllocs()
+		b.ResetTimer()
+		var accesses uint64
+		for i := 0; i < b.N; i++ {
+			res, err := s.RunContext(context.Background(), src, lim)
+			if err != nil {
+				b.Fatal(err)
+			}
+			accesses = res.Accesses
+		}
+		b.ReportMetric(float64(accesses), "accesses/cell")
+	}
 	b.Run("seed", func(b *testing.B) {
 		ss := newSeedSim(m)
 		b.ReportAllocs()
@@ -346,18 +365,15 @@ func BenchmarkSimulatorHotPath(b *testing.B) {
 		}
 		b.ReportMetric(float64(accesses), "accesses/cell")
 	})
-	b.Run("fused", func(b *testing.B) {
-		s := New(m)
-		b.ReportAllocs()
-		b.ResetTimer()
-		var accesses uint64
-		for i := 0; i < b.N; i++ {
-			res, err := s.RunContext(context.Background(), src, Limits{})
-			if err != nil {
-				b.Fatal(err)
+	b.Run("fused", func(b *testing.B) { run(b, Limits{}) })
+	for _, w := range []int{2, 4, 8} {
+		w := w
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			var st PhaseStats
+			run(b, Limits{SimWorkers: w, Stats: &st})
+			if !st.Partitioned {
+				b.Fatal("set-partitioned engine did not engage on the headline cell")
 			}
-			accesses = res.Accesses
-		}
-		b.ReportMetric(float64(accesses), "accesses/cell")
-	})
+		})
+	}
 }

@@ -33,6 +33,20 @@ type CellStat struct {
 	// "timeout", "invariant", "diverged", ...). Empty in records written
 	// before status tracking existed.
 	Status string `json:"status,omitempty"`
+
+	// Simulator phase attribution (zero / omitted when the cell ran on the
+	// classic sequential event loop with no stats plumbing). SimWorkers is
+	// the effective worker count; SplitWall/PrivateWall/ReplayWall break the
+	// simulation's wall time into the set-partitioned engine's three phases
+	// (cursor split, parallel private-prefix simulation, sequential shared
+	// replay); SimEscaped counts accesses that escaped every private cache
+	// and reached the replay phase. All observational — never part of any
+	// result or figure.
+	SimWorkers  int           `json:"sim_workers,omitempty"`
+	SplitWall   time.Duration `json:"split_wall_ns,omitempty"`
+	PrivateWall time.Duration `json:"private_wall_ns,omitempty"`
+	ReplayWall  time.Duration `json:"replay_wall_ns,omitempty"`
+	SimEscaped  uint64        `json:"sim_escaped,omitempty"`
 }
 
 // CellLog is a concurrency-safe recorder of per-cell execution statistics.
@@ -106,6 +120,12 @@ func (l *CellLog) Summary(n int) string {
 	for _, s := range stats[:n] {
 		fmt.Fprintf(&b, "  %-12s %14d cycles  %8.1f MB  %s\n",
 			s.Wall.Round(time.Millisecond), s.SimCycles, float64(s.AllocBytes)/(1<<20), s.Key)
+		if s.SimWorkers > 1 {
+			fmt.Fprintf(&b, "    sim: %d workers  split %s  private %s  replay %s  %d escaped\n",
+				s.SimWorkers, s.SplitWall.Round(time.Millisecond),
+				s.PrivateWall.Round(time.Millisecond), s.ReplayWall.Round(time.Millisecond),
+				s.SimEscaped)
+		}
 	}
 	return b.String()
 }

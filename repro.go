@@ -269,6 +269,12 @@ type Config struct {
 	// corruption is caught. This exists to prove the checking layers fire;
 	// production sweeps leave it zero.
 	ChaosSeed int64
+	// SimWorkers bounds the simulator's intra-cell worker pool (see
+	// internal/cachesim: set-partitioned mode). It is an execution knob,
+	// not part of the experiment's identity: results are byte-identical at
+	// every setting, so it is excluded from memo keys and checkpoint
+	// identity. 0 or 1 runs the classic sequential event loop.
+	SimWorkers int
 }
 
 // DefaultConfig returns the paper's experimental settings.
@@ -298,6 +304,11 @@ type Run struct {
 	// MapTime is the time the mapping passes took — the paper's
 	// compilation-time overhead metric (§4.1, Fig 16 discussion).
 	MapTime time.Duration
+	// SimPhases carries the simulator's per-stage CPU/alloc attribution
+	// (filled whether the set-partitioned engine ran or fell back to the
+	// sequential loop). Observational only: never part of Sim, memo keys,
+	// or any figure table.
+	SimPhases *cachesim.PhaseStats
 }
 
 // Summary renders a one-line human-readable digest of the run.
@@ -464,11 +475,11 @@ func EvaluateContext(ctx context.Context, k *Kernel, m *Machine, scheme Scheme, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sim, err := simulateChecked(ctx, &stage, m, finishProgram(prog, cfg), evalID(k.Name, m.Name, scheme, ""), cfg)
+	sim, phases, err := simulateChecked(ctx, &stage, m, finishProgram(prog, cfg), evalID(k.Name, m.Name, scheme, ""), cfg)
 	if err != nil {
 		return nil, err
 	}
-	run.Sim = sim
+	run.Sim, run.SimPhases = sim, phases
 	return run, nil
 }
 
@@ -490,9 +501,11 @@ func evalID(kernel, machine string, scheme Scheme, mapfor string) string {
 // oracle then recomputes the cell from the clean source at CheckFull, or at
 // CheckSampled when the deterministic sample selects this id. stage is the
 // panic-capture stage pointer, advanced as the legs run.
-func simulateChecked(ctx context.Context, stage *string, m *Machine, src trace.Source, id string, cfg Config) (*SimResult, error) {
+func simulateChecked(ctx context.Context, stage *string, m *Machine, src trace.Source, id string, cfg Config) (*SimResult, *cachesim.PhaseStats, error) {
 	*stage = "simulate"
-	lim := cachesim.Limits{MaxCycles: cfg.MaxSimCycles, Check: cfg.Check}
+	phases := new(cachesim.PhaseStats)
+	lim := cachesim.Limits{MaxCycles: cfg.MaxSimCycles, Check: cfg.Check,
+		SimWorkers: cfg.SimWorkers, Stats: phases}
 	simSrc := src
 	if cfg.ChaosSeed != 0 {
 		if f, ok := chaos.Pick(cfg.ChaosSeed, id); ok {
@@ -507,22 +520,22 @@ func simulateChecked(ctx context.Context, stage *string, m *Machine, src trace.S
 	}
 	sim, err := cachesim.SimulateContext(ctx, m, simSrc, lim)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if lim.Check >= check.Full || (lim.Check == check.Sampled && check.SampleSelected(id)) {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		*stage = "oracle"
 		want, err := oracle.Simulate(m, src)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if d := oracle.Compare(id, sim, want); d != nil {
-			return nil, d
+			return nil, nil, d
 		}
 	}
-	return sim, nil
+	return sim, phases, nil
 }
 
 // ChaosFaultFor reports which fault class (if any) the chaos injector
@@ -704,11 +717,11 @@ func CrossEvaluateContext(ctx context.Context, k *Kernel, mapM, runM *Machine, s
 		return nil, err
 	}
 	prog := trace.StreamSchedule(sched, res, k.Refs, layout)
-	sim, err := simulateChecked(ctx, &stage, runM, finishProgram(prog, cfg), evalID(k.Name, runM.Name, scheme, mapM.Name), cfg)
+	sim, phases, err := simulateChecked(ctx, &stage, runM, finishProgram(prog, cfg), evalID(k.Name, runM.Name, scheme, mapM.Name), cfg)
 	if err != nil {
 		return nil, err
 	}
-	run.Sim = sim
+	run.Sim, run.SimPhases = sim, phases
 	return run, nil
 }
 

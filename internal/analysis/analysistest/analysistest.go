@@ -21,6 +21,8 @@ package analysistest
 
 import (
 	"go/token"
+	"io/fs"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -42,6 +44,13 @@ type expectation struct {
 // package in it, and diffs diagnostics against the // want expectations.
 func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
+	// analysis.Load reads the fixture through a `go list` subprocess, whose
+	// file reads Go's test cache never sees. Walking the fixture opens every
+	// directory in this process, so the cache hashes each listing (entry
+	// names, sizes and mtimes) and re-runs the test when a fixture changes.
+	if err := filepath.WalkDir(dir, func(_ string, _ fs.DirEntry, err error) error { return err }); err != nil {
+		t.Fatal(err)
+	}
 	pkgs, err := analysis.Load(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -54,23 +54,6 @@ type Limits struct {
 	// the cache level, set index, LRU-chosen victim way and associativity
 	// and returns the way to evict instead. Production runs leave it nil.
 	Replace func(level, set, victim, assoc int) int
-	// SimWorkers bounds the simulator's internal parallelism: the number of
-	// goroutines the set-partitioned engine (partition.go) may use inside
-	// one run. 0 or 1 selects the sequential event loop. Results are
-	// byte-identical at every setting — the engine parallelizes only the
-	// private-cache phase, whose outcomes are independent of the global
-	// interleaving, and replays the shared levels in the exact sequential
-	// event order. The run silently falls back to the sequential loop when
-	// a Replace hook is installed (chaos hooks are stateful and
-	// order-dependent) or the topology gives some active core no private
-	// cache, so the knob can never change what is simulated.
-	SimWorkers int
-	// Stats, when non-nil, receives per-phase execution attribution for
-	// the run (wall time, allocation and escape counts per partition
-	// phase). Purely observational: it never feeds back into the
-	// simulation and is deliberately not part of Result, which is
-	// checkpointed and oracle-compared.
-	Stats *PhaseStats
 }
 
 // cache is one set-associative LRU cache instance.
@@ -602,9 +585,6 @@ type Simulator struct {
 	// clock while it has accesses left, else the done sentinel. See the
 	// scan there.
 	cycBuf []uint64 //topovet:scratch
-	// part holds the pooled buffers of the set-partitioned engine, allocated
-	// on first partitioned run (see partition.go).
-	part *partState
 	// Per-run self-checking state, installed by RunContext from Limits:
 	// chk enables the runtime invariants, replace is the chaos hook.
 	chk     bool
@@ -694,20 +674,6 @@ func (s *Simulator) RunContext(ctx context.Context, prog trace.Source, lim Limit
 		s.snapWb[i] = c.writebacks
 	}
 	s.growBatches(ncores)
-
-	// Set-partitioned mode: when the caller grants internal workers, no
-	// order-dependent chaos hook is installed and the topology gives every
-	// active core a private leading cache, the three-phase engine in
-	// partition.go produces the identical Result with intra-cell
-	// parallelism.
-	if lim.SimWorkers > 1 && lim.Replace == nil {
-		if plan := s.partitionPlan(ncores, lim.SimWorkers); plan != nil {
-			return s.runPartitioned(ctx, prog, lim, res, plan)
-		}
-	}
-	if lim.Stats != nil {
-		*lim.Stats = PhaseStats{Workers: 1}
-	}
 
 	synchronized := prog.Sync()
 	for r, rounds := 0, prog.RoundCount(); r < rounds; r++ {
@@ -955,7 +921,7 @@ func (s *Simulator) growBatches(ncores int) {
 
 // finishRun aggregates the per-cache counter deltas into the result's level
 // and instance statistics, derives TotalCycles, and runs the end-of-run
-// conservation check. Shared by the sequential and partitioned paths.
+// conservation check.
 func (s *Simulator) finishRun(res *Result) (*Result, error) {
 	res.PerCache = make([]CacheStats, 0, len(s.cacheList))
 	for i, c := range s.cacheList {

@@ -2,6 +2,7 @@ package cachesim
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -76,4 +77,66 @@ func TestReplaceHookEvadesInvariants(t *testing.T) {
 	if reflect.DeepEqual(clean, perturbed) {
 		t.Error("perturbed replacement left all statistics unchanged; the fault would be undetectable")
 	}
+}
+
+// TestCursorFaults: the checked event loop must report each cursor-level
+// fault under its own invariant name.
+func TestCursorFaults(t *testing.T) {
+	m := topology.Dunnington()
+	base := randomProgram(m, 9, 256)
+	for _, name := range []string{"cursor-short", "cursor-overrun", "negative-address"} {
+		_, err := New(m).RunContext(context.Background(), faultSource{base, name}, Limits{Check: check.Invariants})
+		var ie *check.InvariantError
+		if !errors.As(err, &ie) {
+			t.Fatalf("%s: got %v, want InvariantError", name, err)
+		}
+		if ie.Name != name {
+			t.Errorf("%s: invariant %q reported", name, ie.Name)
+		}
+	}
+}
+
+// faultSource hands out core 2's cursor wrapped to commit the fault its
+// mode names; every other core's cursor is the base program's.
+type faultSource struct {
+	trace.Source
+	mode string
+}
+
+func (s faultSource) Cursor(r, c int) trace.Cursor {
+	cur := s.Source.Cursor(r, c)
+	if c == 2 {
+		return &faultingCursor{Cursor: cur, mode: s.mode, n: cur.Len()}
+	}
+	return cur
+}
+
+// faultingCursor wraps a cursor to misbehave in one specific way.
+type faultingCursor struct {
+	trace.Cursor
+	mode  string
+	n     int
+	yield int
+}
+
+func (f *faultingCursor) Next() (trace.Access, bool) {
+	switch f.mode {
+	case "cursor-short":
+		if f.yield >= f.n/2 {
+			return trace.Access{}, false
+		}
+	case "cursor-overrun":
+		// extra accesses appear after Len is exhausted
+		if f.yield >= f.n {
+			f.yield++
+			return trace.Access{Addr: 64}, true
+		}
+	case "negative-address":
+		if f.yield == f.n/2 {
+			f.yield++
+			return trace.Access{Addr: -64}, true
+		}
+	}
+	f.yield++
+	return f.Cursor.Next()
 }

@@ -1,7 +1,7 @@
 // Package cli holds the runner plumbing the command-line tools share:
 // the fault-isolation flags (-checkpoint, -timeout, -retries, -maxcycles),
 // the self-checking flags (-check, -chaos-seed, -replaydir), the
-// worker-pool (-j, -simworkers) and progress flags, and the end-of-run
+// worker-pool (-j) and progress flags, and the end-of-run
 // failure report. benchtool and topomap bind these to their own flag sets
 // so both expose the same execution-guard vocabulary; every cell runs in
 // this process.
@@ -25,7 +25,6 @@ import (
 // flag parsing.
 type RunnerFlags struct {
 	Jobs       *int
-	SimWorkers *int
 	Progress   *bool
 	Checkpoint *string
 	Timeout    *time.Duration
@@ -42,7 +41,6 @@ type RunnerFlags struct {
 func AddRunnerFlags(fs *flag.FlagSet, defaultJobs int) *RunnerFlags {
 	return &RunnerFlags{
 		Jobs:       fs.Int("j", defaultJobs, "worker pool size for grid cells (0 = GOMAXPROCS, 1 = serial; output is identical at any value)"),
-		SimWorkers: fs.Int("simworkers", 1, "intra-cell simulator workers: >1 runs each cell's simulation on the set-partitioned parallel engine (output is byte-identical at any value; 1 = classic sequential event loop)"),
 		Progress:   fs.Bool("progress", false, "report cells done/total and ETA on stderr"),
 		Checkpoint: fs.String("checkpoint", "", "persist completed cells to this file and restore them on re-runs (errors are never checkpointed; the file is bound to this sweep's grid signature)"),
 		Timeout:    fs.Duration("timeout", 0, "per-cell wall-time budget (0 = unlimited); an over-budget cell fails, the rest of the grid continues"),
@@ -58,9 +56,9 @@ func AddRunnerFlags(fs *flag.FlagSet, defaultJobs int) *RunnerFlags {
 // signature: everything that changes which cells run or what they compute.
 // Tools append their own sweep-defining flags (kernel/machine/scheme
 // selections, figure choice, config overrides) and hash the lot with
-// experiments.GridSignature. -simworkers is deliberately absent, like -j:
-// both only change how cells execute, never what they compute, so a
-// checkpoint written at one worker count resumes at any other.
+// experiments.GridSignature. -j is deliberately absent: it only changes how
+// cells execute, never what they compute, so a checkpoint written at one
+// worker count resumes at any other.
 func (rf *RunnerFlags) GridParts() []string {
 	return []string{
 		fmt.Sprintf("maxcycles=%d", *rf.MaxCycles),
@@ -84,7 +82,6 @@ func (rf *RunnerFlags) Configure(tool, grid string) (*experiments.Runner, func()
 	}
 	r := experiments.NewRunner()
 	r.SetWorkers(*rf.Jobs)
-	r.SetSimWorkers(*rf.SimWorkers)
 	r.SetTimeout(*rf.Timeout)
 	r.SetRetries(*rf.Retries)
 	r.SetMaxCycles(*rf.MaxCycles)
@@ -161,7 +158,6 @@ type ServeFlags struct {
 	Timeout      *time.Duration
 	MaxTimeout   *time.Duration
 	MaxCycles    *uint64
-	SimWorkers   *int
 	BodyLimit    *int64
 	DrainTimeout *time.Duration
 	Checkpoint   *string
@@ -179,7 +175,6 @@ func AddServeFlags(fs *flag.FlagSet) *ServeFlags {
 		Timeout:      fs.Duration("timeout", 30*time.Second, "default per-request evaluation budget (clients tighten it with a Request-Timeout header)"),
 		MaxTimeout:   fs.Duration("max-timeout", 2*time.Minute, "hard cap on any client-requested budget"),
 		MaxCycles:    fs.Uint64("maxcycles", 0, "default simulated-cycle budget per evaluation (0 = unlimited); client max_cycles is clamped to it when set"),
-		SimWorkers:   fs.Int("simworkers", 1, "intra-cell simulator workers per evaluation (results are byte-identical at any value)"),
 		BodyLimit:    fs.Int64("body-limit", 1<<20, "request body size cap in bytes"),
 		DrainTimeout: fs.Duration("drain-timeout", 15*time.Second, "graceful-drain bound after SIGTERM: in-flight requests finish within it, stragglers are canceled"),
 		Checkpoint:   fs.String("checkpoint", "", "warm the result cache from this checkpoint file and append computed cells to it (lockfile-guarded; a concurrent sweep on the same file is rejected)"),
@@ -197,7 +192,6 @@ func (sf *ServeFlags) Options() serve.Options {
 		DefaultTimeout: *sf.Timeout,
 		MaxTimeout:     *sf.MaxTimeout,
 		MaxCycles:      *sf.MaxCycles,
-		SimWorkers:     *sf.SimWorkers,
 		BodyLimit:      *sf.BodyLimit,
 		DrainTimeout:   *sf.DrainTimeout,
 		Checkpoint:     *sf.Checkpoint,

@@ -175,23 +175,24 @@ func TestCollapseCyclesNoOp(t *testing.T) {
 }
 
 func TestCollapseCyclesMerges(t *testing.T) {
-	// Build an artificial cyclic group graph: a ping-pong pattern where
-	// block 0 and block 1 alternate writes from two groups.
+	// Build a cyclic group graph: iteration (i, j) reads B[j] and writes
+	// A[0]. B's two 32-element blocks split the iterations into a j < 32
+	// and a j >= 32 group, and every iteration writes the same element, so
+	// program order runs group 0 → group 1 in pass i = 0 and back to group
+	// 0 in pass i = 1.
 	a := poly.NewArray("A", 64)
-	nest := poly.NewNest(poly.RectLoop("j", 0, 63))
-	// Iteration j writes A[63-j] and reads A[j]: early iterations read
-	// low blocks and write high blocks; late iterations the reverse —
-	// the two groups depend on each other.
+	b := poly.NewArray("B", 64)
+	nest := poly.NewNest(poly.RectLoop("i", 0, 1), poly.RectLoop("j", 0, 63))
 	refs := []*poly.Ref{
-		poly.NewRef(a, poly.Read, poly.Var(0, 1)),
-		poly.NewRef(a, poly.Write, poly.Var(0, 1).Scale(-1).AddConst(63)),
+		poly.NewRef(b, poly.Read, poly.Var(1, 2)),
+		poly.NewRef(a, poly.Write, poly.NewExpr([]int64{0, 0}, 0)),
 	}
-	layout := poly.NewLayout(256, a) // 32-element blocks -> 2 blocks
+	layout := poly.NewLayout(256, a, b) // 32-element blocks
 	iters := nest.Points()
 	tg := tags.Compute(iters, refs, layout)
 	dg, selfDep := Analyze(iters, tg)
 	if dg.IsAcyclic() {
-		t.Skip("expected a cyclic group graph for this pattern")
+		t.Fatalf("group graph of %d groups is acyclic; the test needs a cycle", len(tg.Groups))
 	}
 	groups, dag, self := CollapseCycles(tg.Groups, dg, selfDep)
 	if len(groups) >= len(tg.Groups) {

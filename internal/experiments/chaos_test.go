@@ -110,40 +110,6 @@ func TestChaosFaultClassesDetected(t *testing.T) {
 	}
 }
 
-// TestChaosStagesIdenticalAcrossSimWorkers: a chaos-poisoned cell must be
-// detected at the same pipeline stage whether the simulation runs on the
-// sequential event loop or the set-partitioned parallel engine — the
-// checking layers see through the engine choice. (Replacement faults
-// install a stateful hook the partitioned engine deliberately declines, so
-// the equality there certifies the fallback; stream faults exercise the
-// partitioned split phase's detectors directly.)
-func TestChaosStagesIdenticalAcrossSimWorkers(t *testing.T) {
-	for _, f := range chaos.Injectable() {
-		f := f
-		t.Run(f.String(), func(t *testing.T) {
-			seed, c := chaosCellFor(t, f)
-			stage := func(simWorkers int) string {
-				r := NewRunner()
-				r.SetChaos(seed)
-				r.SetSimWorkers(simWorkers)
-				_, err := r.Evaluate(c.Kernel, c.Machine, c.Scheme, c.Config)
-				if err == nil {
-					t.Fatalf("fault %v on %s (seed %d, simworkers %d) was not detected", f, c.Key(), seed, simWorkers)
-				}
-				var ce *CellError
-				if !errors.As(err, &ce) {
-					t.Fatalf("simworkers=%d: error is %T, want *CellError: %v", simWorkers, err, err)
-				}
-				return ce.Stage
-			}
-			seq, par := stage(1), stage(4)
-			if seq != par {
-				t.Errorf("fault %v: sequential stage %q, partitioned stage %q", f, seq, par)
-			}
-		})
-	}
-}
-
 // TestChaosGridDegradesOnlyPoisonedCells: under an armed fault injector,
 // every poisoned cell is detected and rendered as a failure while every
 // healthy cell's result is byte-identical to a clean run's — corruption

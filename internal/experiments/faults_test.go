@@ -209,6 +209,43 @@ func TestCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestFig20ResumesFromCheckpoint: a restored checkpoint record carries no
+// Mapping, so Fig 20 must render from restored cells exactly as it did when
+// it computed them.
+func TestFig20ResumesFromCheckpoint(t *testing.T) {
+	fig5, err := workloads.ByName("fig5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Kernels: []*workloads.Kernel{fig5}, Quick: true}
+	path := filepath.Join(t.TempDir(), "fig20.ckpt")
+	grid := GridSignature("fig20-resume")
+	render := func() (string, *Runner) {
+		r := NewRunner()
+		if _, err := r.SetCheckpoint(path, grid); err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if err := r.CloseCheckpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		out, err := Fig20(r, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, r
+	}
+	want, _ := render()
+	got, resumed := render()
+	if resumed.RestoredCells() == 0 {
+		t.Fatal("resumed Fig 20 restored no cells")
+	}
+	if got != want {
+		t.Errorf("resumed Fig 20 differs from the first render\nfirst:\n%s\nresumed:\n%s", want, got)
+	}
+}
+
 // TestCheckpointSkipsTornLine: a truncated final record (a crash mid-
 // append) costs one cell, not the checkpoint.
 func TestCheckpointSkipsTornLine(t *testing.T) {
@@ -330,17 +367,22 @@ func TestValidationErrors(t *testing.T) {
 	fig5, _ := workloads.ByName("fig5")
 	m := topology.Dunnington()
 	r := NewRunner()
+	def := repro.DefaultConfig()
+	negBlock := def
+	negBlock.BlockBytes = -5
 	cases := []struct {
 		name string
 		k    *workloads.Kernel
 		m    *topology.Machine
+		cfg  repro.Config
 	}{
-		{"nil kernel", nil, m},
-		{"nil machine", fig5, nil},
-		{"no refs", &workloads.Kernel{Name: "empty", Nest: fig5.Nest, Arrays: fig5.Arrays}, m},
+		{"nil kernel", nil, m, def},
+		{"nil machine", fig5, nil, def},
+		{"no refs", &workloads.Kernel{Name: "empty", Nest: fig5.Nest, Arrays: fig5.Arrays}, m, def},
+		{"negative block size", fig5, m, negBlock},
 	}
 	for _, tc := range cases {
-		_, err := r.Evaluate(tc.k, tc.m, repro.SchemeBase, repro.DefaultConfig())
+		_, err := r.Evaluate(tc.k, tc.m, repro.SchemeBase, tc.cfg)
 		if !errors.Is(err, repro.ErrInvalidInput) {
 			t.Errorf("%s: error %v does not wrap ErrInvalidInput", tc.name, err)
 			continue

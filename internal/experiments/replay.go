@@ -72,7 +72,7 @@ type BundleConfig struct {
 
 // bundleConfig flattens a cell's config for the bundle.
 //
-//topovet:keyof repro.Config exempt=Materialize,Check,ChaosSeed,SimWorkers -- replay pins Materialize and CheckFull on reconstruction, the chaos seed rides the bundle's own ChaosSeed field, and SimWorkers is an execution knob replay deliberately resets: re-execution uses the default sequential loop, whose output is byte-identical anyway
+//topovet:keyof repro.Config exempt=Materialize,Check,ChaosSeed -- replay pins Materialize and CheckFull on reconstruction, and the chaos seed rides the bundle's own ChaosSeed field
 func bundleConfig(cfg repro.Config) BundleConfig {
 	b := BundleConfig{
 		BlockBytes:       cfg.BlockBytes,
@@ -194,7 +194,7 @@ func LoadBundle(path string) (*ReplayBundle, error) {
 // by registry name; scaled or synthesized ones cannot be rebuilt from a
 // name and return a descriptive error.
 //
-//topovet:keyof repro.Config exempt=SimWorkers -- replay re-executes on the default sequential event loop; the worker count never changes results, so a bundle does not carry one
+//topovet:keyof repro.Config
 func (b *ReplayBundle) Cell() (Cell, error) {
 	k, err := workloads.ByName(b.Kernel)
 	if err != nil {

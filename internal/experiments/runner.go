@@ -43,7 +43,7 @@ type Cell struct {
 // never checkpointed.
 //
 //topovet:keyof Cell
-//topovet:keyof repro.Config exempt=MaxSimCycles,SimWorkers -- execution knobs: MaxSimCycles bounds how a cell runs (a budget-aborted cell yields an error and is never checkpointed); SimWorkers only parallelizes the simulator's event loop, whose output is byte-identical at every worker count
+//topovet:keyof repro.Config exempt=MaxSimCycles -- execution knob: MaxSimCycles bounds how a cell runs (a budget-aborted cell yields an error and is never checkpointed)
 func (c Cell) Key() string {
 	kname, mname := "<nil>", "<nil>"
 	if c.Kernel != nil {
@@ -110,16 +110,15 @@ type Runner struct {
 	mu    sync.Mutex
 	cache map[string]*cacheEntry
 
-	workers    int
-	simWorkers int
-	baseCtx    context.Context
-	timeout    time.Duration
-	retries    int
-	retryWait  Backoff
-	maxCycles  uint64
-	checkMode  repro.CheckMode
-	chaosSeed  int64
-	replayDir  string
+	workers   int
+	baseCtx   context.Context
+	timeout   time.Duration
+	retries   int
+	retryWait Backoff
+	maxCycles uint64
+	checkMode repro.CheckMode
+	chaosSeed int64
+	replayDir string
 
 	// evals counts actual pipeline executions (including retries);
 	// restored counts cells served from the checkpoint instead. Together
@@ -156,19 +155,6 @@ func NewRunner() *Runner {
 func (r *Runner) SetWorkers(n int) {
 	r.mu.Lock()
 	r.workers = n
-	r.mu.Unlock()
-}
-
-// SetSimWorkers installs a default intra-cell worker count applied to every
-// cell whose Config leaves SimWorkers at zero: n > 1 lets the simulator run
-// its set-partitioned engine on up to n goroutines inside one cell. Results
-// are byte-identical at any setting — SimWorkers is an execution knob, never
-// part of a cell's identity — so it composes freely with SetWorkers
-// (cell-level pool) without changing keys, checkpoints or output. n <= 1
-// keeps the classic sequential event loop.
-func (r *Runner) SetSimWorkers(n int) {
-	r.mu.Lock()
-	r.simWorkers = n
 	r.mu.Unlock()
 }
 
@@ -406,13 +392,6 @@ func (r *Runner) computeCell(ctx context.Context, key string, c Cell, e *cacheEn
 			stat.SimCycles = e.run.Sim.TotalCycles
 			stat.Accesses = e.run.Sim.Accesses
 			stat.Status = "ok"
-			if ph := e.run.SimPhases; ph != nil && ph.Partitioned {
-				stat.SimWorkers = ph.Workers
-				stat.SplitWall = ph.SplitWall
-				stat.PrivateWall = ph.PrivateWall
-				stat.ReplayWall = ph.ReplayWall
-				stat.SimEscaped = ph.Escaped
-			}
 		} else {
 			stat.Status, _ = classifyStage(e.err)
 		}
@@ -454,7 +433,6 @@ func (r *Runner) evaluateOnce(ctx context.Context, c Cell) (run *repro.Run, err 
 	maxCycles := r.maxCycles
 	checkMode := r.checkMode
 	chaosSeed := r.chaosSeed
-	simWorkers := r.simWorkers
 	r.mu.Unlock()
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -485,9 +463,6 @@ func (r *Runner) evaluateOnce(ctx context.Context, c Cell) (run *repro.Run, err 
 	}
 	if chaosSeed != 0 && cfg.ChaosSeed == 0 {
 		cfg.ChaosSeed = chaosSeed
-	}
-	if simWorkers > 1 && cfg.SimWorkers == 0 {
-		cfg.SimWorkers = simWorkers
 	}
 	if c.MapMachine != nil {
 		return repro.CrossEvaluateContext(ctx, c.Kernel, c.MapMachine, c.Machine, c.Scheme, cfg)

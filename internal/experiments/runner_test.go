@@ -106,39 +106,6 @@ func TestDriverOutputIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDriverOutputIdenticalAcrossSimWorkers runs full experiment drivers
-// with the set-partitioned simulator at -simworkers 1/2/4/8 and requires
-// byte-identical rendered tables (modulo measured wall-clock columns, see
-// stripDurations): the intra-cell worker count is an execution knob, never
-// an experimental variable.
-func TestDriverOutputIdenticalAcrossSimWorkers(t *testing.T) {
-	opt := smallOpt(t)
-	render := func(simWorkers int) string {
-		r := NewRunner()
-		r.SetSimWorkers(simWorkers)
-		var b strings.Builder
-		f13, err := Fig13(r, opt)
-		if err != nil {
-			t.Fatalf("simworkers=%d fig13: %v", simWorkers, err)
-		}
-		b.WriteString(f13.Rendered)
-		for _, drv := range []func(*Runner, Options) (string, error){Fig15, Fig16, AlphaBeta} {
-			out, err := drv(r, opt)
-			if err != nil {
-				t.Fatalf("simworkers=%d: %v", simWorkers, err)
-			}
-			b.WriteString(stripDurations(out))
-		}
-		return b.String()
-	}
-	want := render(1)
-	for _, n := range []int{2, 4, 8} {
-		if got := render(n); got != want {
-			t.Errorf("driver output at %d sim workers differs from the sequential engine's", n)
-		}
-	}
-}
-
 // TestRunCellsDedup: the same grid point requested twice must be computed
 // once and yield the same *Run.
 func TestRunCellsDedup(t *testing.T) {

@@ -272,7 +272,6 @@ func Fig20(r *Runner, opt Options) (string, error) {
 			return "", err
 		}
 		row := make([]float64, 0, 4)
-		var fullRun *repro.Run
 		for _, v := range views {
 			vcfg := cfg
 			vcfg.MapView = v.view
@@ -280,12 +279,9 @@ func Fig20(r *Runner, opt Options) (string, error) {
 			if err != nil {
 				return "", fmt.Errorf("fig20 %s/%s: %w", k.Name, v.name, err)
 			}
-			if v.view == nil {
-				fullRun = run
-			}
 			row = append(row, float64(run.Sim.TotalCycles)/float64(base.Sim.TotalCycles))
 		}
-		optRatio, err := optimalRatio(k, m, cfg, fullRun, base.Sim.TotalCycles, opt)
+		optRatio, err := optimalRatio(k, m, cfg, base.Sim.TotalCycles, opt)
 		if err != nil {
 			return "", fmt.Errorf("fig20 optimal %s: %w", k.Name, err)
 		}
@@ -301,11 +297,11 @@ func Fig20(r *Runner, opt Options) (string, error) {
 }
 
 // optimalRatio searches for the best group-to-core mapping using the
-// exhaustive/local-search stand-in for the paper's ILP.
-func optimalRatio(k *workloads.Kernel, m *topology.Machine, cfg repro.Config, seed *repro.Run, baseCycles uint64, opt Options) (float64, error) {
-	if seed == nil || seed.Mapping == nil {
-		return 0, fmt.Errorf("optimal needs the full TopologyAware run as seed")
-	}
+// exhaustive/local-search stand-in for the paper's ILP. The search starts
+// from the full TopologyAware mapping, which NewSearchContext recomputes,
+// so Fig 20 needs no Mapping from the runner's cells (a checkpoint
+// restores none).
+func optimalRatio(k *workloads.Kernel, m *topology.Machine, cfg repro.Config, baseCycles uint64, opt Options) (float64, error) {
 	sc, err := repro.NewSearchContext(k, m, cfg)
 	if err != nil {
 		return 0, err

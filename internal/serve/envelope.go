@@ -25,7 +25,8 @@ type MapRequest struct {
 	// topology, combined (the default).
 	Scheme string `json:"scheme,omitempty"`
 	// BlockBytes overrides the decomposition block size (0 = paper
-	// default).
+	// default, -1 = the §4.1 heuristic; any other negative size is
+	// rejected at validate).
 	BlockBytes int64 `json:"block_bytes,omitempty"`
 	// Passes repeats the loop nest with warm caches (0 or 1 = single).
 	Passes int `json:"passes,omitempty"`

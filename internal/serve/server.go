@@ -44,8 +44,6 @@ type Options struct {
 	// MaxCycles is the default simulated-cycle budget per evaluation
 	// (0 = unlimited); a request's max_cycles is clamped to it when set.
 	MaxCycles uint64
-	// SimWorkers bounds each evaluation's intra-cell simulator pool.
-	SimWorkers int
 	// BodyLimit caps request-body bytes. Default 1 MiB.
 	BodyLimit int64
 	// BodyTimeout bounds reading the request body (slow-loris guard).
@@ -520,7 +518,6 @@ func (s *Server) resolve(p *parsed) error {
 			return err
 		}
 	}
-	cfg.SimWorkers = s.opts.SimWorkers
 	p.cfg = cfg
 
 	key := experiments.Cell{Kernel: p.kernel, Machine: p.machine, Scheme: p.scheme, Config: cfg}.Key()

@@ -108,7 +108,8 @@ func TestServeMapValidateRejections(t *testing.T) {
 		`{"kernel":"fig5","machine":"no-such-machine"}`,               // unknown machine
 		`{"kernel":"fig5","machine":"dunnington","scheme":"quantum"}`, // unknown scheme
 		`{"kernel":"fig5","kernel_source":"x","machine":"dunnington"}`,
-		`{"kernel":"fig5","machine":"dunnington","passes":1000}`, // over maxUploadPasses
+		`{"kernel":"fig5","machine":"dunnington","passes":1000}`,    // over maxUploadPasses
+		`{"kernel":"fig5","machine":"dunnington","block_bytes":-5}`, // negative, not AutoBlockBytes
 		// Negative latencies would wrap into a huge unsigned cycle count.
 		`{"kernel":"fig5","scheme":"base","machine_json":{"name":"neg","memLatency":-500,"root":{"children":[` +
 			`{"level":2,"sizeBytes":262144,"assoc":8,"lineBytes":64,"latency":-10,"children":[` +

@@ -212,7 +212,8 @@ const AutoBlockBytes int64 = -1
 // Config carries the tunables of the scheme, with paper defaults.
 type Config struct {
 	// BlockBytes is the data block size (§3.3); the paper's default is
-	// 2 KB. AutoBlockBytes selects the §4.1 heuristic.
+	// 2 KB, which 0 also selects. AutoBlockBytes selects the §4.1
+	// heuristic; any other negative size fails with ErrInvalidInput.
 	BlockBytes int64
 	// BalanceThreshold is the Fig 6 load imbalance tolerance (paper: 10%).
 	BalanceThreshold float64
@@ -269,12 +270,6 @@ type Config struct {
 	// corruption is caught. This exists to prove the checking layers fire;
 	// production sweeps leave it zero.
 	ChaosSeed int64
-	// SimWorkers bounds the simulator's intra-cell worker pool (see
-	// internal/cachesim: set-partitioned mode). It is an execution knob,
-	// not part of the experiment's identity: results are byte-identical at
-	// every setting, so it is excluded from memo keys and checkpoint
-	// identity. 0 or 1 runs the classic sequential event loop.
-	SimWorkers int
 }
 
 // DefaultConfig returns the paper's experimental settings.
@@ -304,11 +299,6 @@ type Run struct {
 	// MapTime is the time the mapping passes took — the paper's
 	// compilation-time overhead metric (§4.1, Fig 16 discussion).
 	MapTime time.Duration
-	// SimPhases carries the simulator's per-stage CPU/alloc attribution
-	// (filled whether the set-partitioned engine ran or fell back to the
-	// sequential loop). Observational only: never part of Sim, memo keys,
-	// or any figure table.
-	SimPhases *cachesim.PhaseStats
 }
 
 // Summary renders a one-line human-readable digest of the run.
@@ -326,8 +316,9 @@ func (r *Run) Summary() string {
 
 // ErrInvalidInput is wrapped by every up-front validation failure of
 // Evaluate/CrossEvaluate: nil or structurally broken kernels and machines
-// that would previously panic deep inside poly/tags/topology. Detect it
-// with errors.Is.
+// that would previously panic deep inside poly/tags/topology, and block
+// sizes no computation can honour (NewSearchContext checks those too).
+// Detect it with errors.Is.
 var ErrInvalidInput = errors.New("repro: invalid input")
 
 // PanicError reports a panic captured at the public API boundary. The
@@ -403,6 +394,16 @@ func validateEval(k *Kernel, m *Machine) error {
 	return nil
 }
 
+// validateBlockBytes rejects a negative block size other than
+// AutoBlockBytes, which resolveBlockBytes would otherwise silently compute
+// at the 2 KB default. 0 selects that default.
+func validateBlockBytes(b int64) error {
+	if b < 0 && b != AutoBlockBytes {
+		return fmt.Errorf("%w: block size %d (want a positive size, 0 for the default or AutoBlockBytes)", ErrInvalidInput, b)
+	}
+	return nil
+}
+
 // capturePanic converts a recovered panic into a PanicError carrying the
 // given stage and the captured stack. Install it with defer; stage is read
 // at panic time, so the caller can advance it as the pipeline progresses.
@@ -427,6 +428,9 @@ func Evaluate(k *Kernel, m *Machine, scheme Scheme, cfg Config) (*Run, error) {
 // never crash on a malformed kernel or machine.
 func EvaluateContext(ctx context.Context, k *Kernel, m *Machine, scheme Scheme, cfg Config) (run *Run, err error) {
 	if err := validateEval(k, m); err != nil {
+		return nil, err
+	}
+	if err := validateBlockBytes(cfg.BlockBytes); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -475,11 +479,11 @@ func EvaluateContext(ctx context.Context, k *Kernel, m *Machine, scheme Scheme, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sim, phases, err := simulateChecked(ctx, &stage, m, finishProgram(prog, cfg), evalID(k.Name, m.Name, scheme, ""), cfg)
+	sim, err := simulateChecked(ctx, &stage, m, finishProgram(prog, cfg), evalID(k.Name, m.Name, scheme, ""), cfg)
 	if err != nil {
 		return nil, err
 	}
-	run.Sim, run.SimPhases = sim, phases
+	run.Sim = sim
 	return run, nil
 }
 
@@ -501,11 +505,9 @@ func evalID(kernel, machine string, scheme Scheme, mapfor string) string {
 // oracle then recomputes the cell from the clean source at CheckFull, or at
 // CheckSampled when the deterministic sample selects this id. stage is the
 // panic-capture stage pointer, advanced as the legs run.
-func simulateChecked(ctx context.Context, stage *string, m *Machine, src trace.Source, id string, cfg Config) (*SimResult, *cachesim.PhaseStats, error) {
+func simulateChecked(ctx context.Context, stage *string, m *Machine, src trace.Source, id string, cfg Config) (*SimResult, error) {
 	*stage = "simulate"
-	phases := new(cachesim.PhaseStats)
-	lim := cachesim.Limits{MaxCycles: cfg.MaxSimCycles, Check: cfg.Check,
-		SimWorkers: cfg.SimWorkers, Stats: phases}
+	lim := cachesim.Limits{MaxCycles: cfg.MaxSimCycles, Check: cfg.Check}
 	simSrc := src
 	if cfg.ChaosSeed != 0 {
 		if f, ok := chaos.Pick(cfg.ChaosSeed, id); ok {
@@ -520,22 +522,22 @@ func simulateChecked(ctx context.Context, stage *string, m *Machine, src trace.S
 	}
 	sim, err := cachesim.SimulateContext(ctx, m, simSrc, lim)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if lim.Check >= check.Full || (lim.Check == check.Sampled && check.SampleSelected(id)) {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		*stage = "oracle"
 		want, err := oracle.Simulate(m, src)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if d := oracle.Compare(id, sim, want); d != nil {
-			return nil, nil, d
+			return nil, d
 		}
 	}
-	return sim, phases, nil
+	return sim, nil
 }
 
 // ChaosFaultFor reports which fault class (if any) the chaos injector
@@ -678,6 +680,9 @@ func CrossEvaluateContext(ctx context.Context, k *Kernel, mapM, runM *Machine, s
 	if err := validateEval(k, runM); err != nil {
 		return nil, err
 	}
+	if err := validateBlockBytes(cfg.BlockBytes); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -717,11 +722,11 @@ func CrossEvaluateContext(ctx context.Context, k *Kernel, mapM, runM *Machine, s
 		return nil, err
 	}
 	prog := trace.StreamSchedule(sched, res, k.Refs, layout)
-	sim, phases, err := simulateChecked(ctx, &stage, runM, finishProgram(prog, cfg), evalID(k.Name, runM.Name, scheme, mapM.Name), cfg)
+	sim, err := simulateChecked(ctx, &stage, runM, finishProgram(prog, cfg), evalID(k.Name, runM.Name, scheme, mapM.Name), cfg)
 	if err != nil {
 		return nil, err
 	}
-	run.Sim, run.SimPhases = sim, phases
+	run.Sim = sim
 	return run, nil
 }
 
@@ -741,6 +746,9 @@ type SearchContext struct {
 // as the seed, and returns a context whose Cost function evaluates any
 // reassignment of the resulting groups.
 func NewSearchContext(k *Kernel, m *Machine, cfg Config) (*SearchContext, error) {
+	if err := validateBlockBytes(cfg.BlockBytes); err != nil {
+		return nil, err
+	}
 	cfg.BlockBytes = resolveBlockBytes(cfg.BlockBytes, k, m)
 	layout := k.Layout(cfg.BlockBytes)
 	res, _, _, groupDeps, err := mapTopologyAware(k, m, SchemeTopologyAware, cfg, layout)

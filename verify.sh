@@ -8,9 +8,6 @@
 #                        #   runner, simulator, oracle and chaos injector,
 #                        #   plus the topomapd serving layer and its
 #                        #   chaos/soak harness (internal/serve/...),
-#                        #   the set-partitioned simulator equivalence
-#                        #   suite under -race (workers 2/4/8 byte-
-#                        #   identical to sequential, CheckFull),
 #                        #   the simulator's array-pool tests under
 #                        #   -race -count=10, the benchmark harness's
 #                        #   own tests (bench/, a separate module),
@@ -138,10 +135,6 @@ if [ "$1" = "full" ]; then
 	# well-formed envelopes, retryable sheds, bounded state and no leaked
 	# goroutines (internal/serve/chaostest).
 	go test -race ./internal/serve/...
-	# Intra-cell parallelism equivalence: the set-partitioned engine at
-	# workers 2/4/8 must be field-identical to the sequential loop over
-	# the Table 2 kernels x commercial machines, under the race detector.
-	go test -race -run 'TestSetPartitioned' -count=1 .
 	# Pooled simulator arrays (DESIGN.md "Reused simulator state"): cold
 	# runs from many goroutines at once, after aborted runs, must match a
 	# fresh simulator; repeated because races show up only in some
